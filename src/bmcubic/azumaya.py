@@ -16,9 +16,9 @@ are enumerated as residue classes modulo pi^N that carry a Hensel certificate
 (the equation vanishes to order N, some partial derivative has valuation w
 with N > 2w, so an actual k_v-point lies within pi^(N-w) of the class).
 Each certified class gets an invariant in (1/3)Z/Z by writing a chart value
-as pi^v * unit and classifying the unit against the norm structure of the
-extension.  A chart counts as evaluable only when its numerator and
-denominator valuations are at most N - w - m_v (m_v the unit resolution of
+as pi^v * unit and looking its class up in `eisenstein.invariant_table`.
+A chart counts as evaluable only when its numerator and denominator
+valuations are at most N - w - m_v (m_v the unit resolution of
 the place): that pins the unit mod pi^m_v at the certified nearby point, not
 just across the residue class, so all evaluable charts must agree.  Charts
 shallower than that bound can see only class-level garbage; they are skipped
@@ -40,11 +40,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .eisenstein import (ORIENTATION, EisensteinNumber, InvariantValue,
-                         LocalElement, Place, factor_rational_prime,
-                         is_local_cube, localize, residue_ring,
-                         tame_hilbert_symbol, valuation, wild_norm_classifier)
-from .lines27 import h1_picard
+from .eisenstein import (EisensteinNumber, InvariantValue, Place,
+                         _prime_factors, invariant_table, is_local_cube,
+                         localize, places_over, residue_ring, unit_resolution,
+                         valuation)
+from .lines27 import _validate_coeffs, h1_picard
 
 Monomial = tuple[int, int, int, int]
 Coeffs = tuple[int, int, int, int]
@@ -185,33 +185,6 @@ def scale_class(cls: AzumayaClass, factor: EisensteinNumber) -> AzumayaClass:
 
 # --- places -----------------------------------------------------------------
 
-def _validate_coeffs(coeffs: Sequence[int]) -> Coeffs:
-    cs = tuple(coeffs)
-    if len(cs) != 4 or not all(isinstance(x, int) and x != 0 for x in cs):
-        raise ValueError("need four nonzero integer coefficients")
-    return cs  # type: ignore[return-value]
-
-
-def places_over(p: int) -> tuple[Place, ...]:
-    out = factor_rational_prime(p)
-    return out if isinstance(out, tuple) else (out,)
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _place_key(place: Place):
     return (place.p, str(place.pi))
 
@@ -259,11 +232,6 @@ def bad_places(coeffs: Sequence[int],
 def default_precision(place: Place) -> int:
     """Working pi-adic precision: mod 9*sqrt(-3) over 3, mod 8 at 2."""
     return 5 if place.kind == "ramified" else 3
-
-
-def unit_resolution(place: Place) -> int:
-    """pi-adic digits of a unit needed to read its norm-coset class."""
-    return 4 if place.kind == "ramified" else 1
 
 
 # --- local point classes ----------------------------------------------------
@@ -410,7 +378,7 @@ def enumerate_local_points(coeffs: Sequence[int], place: Place,
                            ) -> Iterator[LocalPointClass]:
     """Certified liftable point classes mod pi^precision, in a fixed order.
 
-    >>> v7, _ = factor_rational_prime(7)
+    >>> v7, _ = places_over(7)
     >>> pts = list(enumerate_local_points((1, 1, 1, 1), v7, 1))
     >>> any(p.coords == (1, 6, 0, 0) for p in pts)
     True
@@ -424,18 +392,6 @@ def enumerate_local_points(coeffs: Sequence[int], place: Place,
 
 
 # --- invariant evaluation ---------------------------------------------------
-
-@lru_cache(maxsize=16)
-def _tame_table(theta: EisensteinNumber, place: Place) -> dict:
-    field = residue_ring(place, 1)
-    th = localize(theta, place, 1)
-    table = {}
-    for u in field.units():
-        for vm in range(3):
-            le = LocalElement(place, vm, u, 1)
-            table[(vm, field.pack(u))] = tame_hilbert_symbol(le, th, place).j
-    return table
-
 
 class _ClassEvaluator:
     """Evaluates one Azumaya class on encoded point classes at fixed precision."""
@@ -465,12 +421,7 @@ class _ClassEvaluator:
         for num in numerators:
             self.num_terms.append([
                 (ring.embed(c), mono) for mono, c in num if not c.is_zero])
-        if place.kind == "ramified":
-            self.classifier = wild_norm_classifier(cls.theta, place=place)
-            self.tame = None
-        else:
-            self.classifier = None
-            self.tame = _tame_table(cls.theta, place)
+        self.table = invariant_table(cls.theta, place)
 
     def _unit_mod_m(self, value, v: int):
         ring = self.t.ring
@@ -516,13 +467,7 @@ class _ClassEvaluator:
             ud = self._unit_mod_m(t.cube[coords[den_i]], vd)
             u = lo.mul(lo.mul(un, lo.inv(ud)), const_u)
             v = const_v + vn - vd
-            if self.classifier is not None:
-                raw = self.classifier.classify(LocalElement(
-                    self.place, v, u, self.m_v))
-                j = ORIENTATION * raw % 3
-            else:
-                j = self.tame[(v % 3, lo.pack(u))]
-            seen[(num_i, den_i)] = j
+            seen[(num_i, den_i)] = self.table[(v % 3, lo.pack(u))]
         if not seen:
             raise NoEvaluableChart(f"point {coords} at {self.place}")
         if len(set(seen.values())) > 1:
@@ -660,22 +605,9 @@ class _VecEngine:
         for i, e1 in enumerate(lo_elems):
             for j, e2 in enumerate(lo_elems):
                 self.lomul[i, j] = lo.pack(lo.mul(e1, e2))
-        self.linv = np.zeros(lsize, dtype=np.int64)
-        jt = np.full((3, lsize), -1, dtype=np.int64)
-        classifier = (wild_norm_classifier(cls.theta, place=place)
-                      if place.kind == "ramified" else None)
-        th = localize(cls.theta, place, 1) if classifier is None else None
-        for u in lo.units():
-            pu = lo.pack(u)
-            self.linv[pu] = lo.pack(lo.inv(u))
-            for v in range(3):
-                if classifier is not None:
-                    raw = classifier.classify(LocalElement(place, v, u, self.m_v))
-                    jt[v, pu] = ORIENTATION * raw % 3
-                else:
-                    le = LocalElement(place, v, u, 1)
-                    jt[v, pu] = tame_hilbert_symbol(le, th, place).j
-        self.jtab = jt
+        self.jtab = np.full((3, lsize), -1, dtype=np.int64)
+        for (v, pu), j in invariant_table(cls.theta, place).items():
+            self.jtab[v, pu] = j
         # The invariant map kills cubes, so a denominator x_d^3 never moves
         # the value of a chart, only its evaluability.  Charts therefore
         # collapse into groups keyed by numerator and constant, each group

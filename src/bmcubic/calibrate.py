@@ -21,30 +21,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
-from .eisenstein import ONE, ZETA, EisensteinNumber, _coerce as _eis
+from .eisenstein import ONE, ZETA, EisensteinNumber, _coerce as _eis, _prime_factors
 
 Monomial = tuple[int, int, int, int]
-
-
-def _factor_exponents(n: int) -> dict[int, int]:
-    assert n > 0
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def cube_class_vector(m: Fraction) -> dict[int, int]:
     """Prime exponents of m modulo 3, sign discarded (-1 is a cube)."""
     vec: dict[int, int] = {}
     for src, sgn in ((abs(m.numerator), 1), (m.denominator, -1)):
-        for p, e in _factor_exponents(src).items():
+        for p, e in _prime_factors(src).items():
             vec[p] = (vec.get(p, 0) + sgn * e) % 3
     return {p: e for p, e in vec.items() if e}
 

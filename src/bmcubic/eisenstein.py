@@ -11,31 +11,40 @@ pi = 2*zeta + 1, pi^2 = -3.  Residue rings o_v / pi^N are modeled exactly:
 * ramified: pairs (s, t) standing for s + t*pi, with s mod 3^ceil(N/2) and
   t mod 3^floor(N/2).
 
-On top of this sit the local invariants of cyclic cubic algebras (u, theta):
-a closed tame formula away from 3, and at 3 a brute-force classifier of the
-norm cosets of k_v(cbrt(theta))/k_v.  The global orientation of the ℤ/3
-identification is pinned by the single reference value
-cyclic_invariant(zeta, 2/3, place over 3) = 2/3.
+On top of this sit the local invariants of cyclic cubic algebras (u, theta),
+read from one table per (theta, place) under one convention: away from 3 the
+invariant is the tame symbol, j/3 when the cube-power residue symbol is
+zeta^j; at the place over 3 it is fixed by Hilbert reciprocity, minus the sum
+of the tame invariants of a global representative of the unit class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Union
-
-# global multiplier applied to the raw class index j: inv = ORIENTATION * j / 3.
-# Not derivable from first principles here; fixed by the anchor value
-# inv(zeta, 2/3, place over 3) = 2/3 together with the wild anchor j(zeta) = 1.
-ORIENTATION = 2
+from functools import lru_cache, wraps
+from math import isqrt, lcm
+from types import MappingProxyType
+from typing import Iterator, Mapping, Union
 
 RatLike = Union[int, Fraction]
 
 
 class PrecisionError(ArithmeticError):
     """Raised when a residue is not known to enough pi-adic digits."""
+
+
+def _binary(op):
+    """Coerce the other operand of a binary operator; for a foreign type
+    return NotImplemented, so that Python tries that type's operator."""
+    @wraps(op)
+    def wrapper(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = EisensteinNumber(other, 0)
+        elif not isinstance(other, EisensteinNumber):
+            return NotImplemented
+        return op(self, other)
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,8 @@ class EisensteinNumber:
     def is_rational(self) -> bool:
         return self.y == 0
 
+    @_binary
     def __add__(self, other: "EisensteinNumber") -> "EisensteinNumber":
-        other = _coerce(other)
         return EisensteinNumber(self.x + other.x, self.y + other.y)
 
     __radd__ = __add__
@@ -73,14 +82,16 @@ class EisensteinNumber:
     def __neg__(self) -> "EisensteinNumber":
         return EisensteinNumber(-self.x, -self.y)
 
+    @_binary
     def __sub__(self, other) -> "EisensteinNumber":
-        return self + (-_coerce(other))
+        return self + (-other)
 
+    @_binary
     def __rsub__(self, other) -> "EisensteinNumber":
-        return _coerce(other) + (-self)
+        return other + (-self)
 
+    @_binary
     def __mul__(self, other) -> "EisensteinNumber":
-        other = _coerce(other)
         # zeta^2 = -1 - zeta
         return EisensteinNumber(self.x * other.x - self.y * other.y,
                                 self.x * other.y + self.y * other.x - self.y * other.y)
@@ -105,11 +116,13 @@ class EisensteinNumber:
         c = self.conjugate()
         return EisensteinNumber(c.x / n, c.y / n)
 
+    @_binary
     def __truediv__(self, other) -> "EisensteinNumber":
-        return self * _coerce(other).inverse()
+        return self * other.inverse()
 
+    @_binary
     def __rtruediv__(self, other) -> "EisensteinNumber":
-        return _coerce(other) * self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, n: int) -> "EisensteinNumber":
         if n < 0:
@@ -231,7 +244,7 @@ def factor_rational_prime(p: int):
         disc = 4 * p - 3 * a * a
         if disc < 0:
             break
-        r = _isqrt(disc)
+        r = isqrt(disc)
         if r * r == disc:
             for b2 in (a + r, a - r):
                 if b2 % 2 == 0:
@@ -243,9 +256,27 @@ def factor_rational_prime(p: int):
     raise ArithmeticError(f"no element of norm {p} found")  # unreachable for split p
 
 
-def _isqrt(n: int) -> int:
-    from math import isqrt
-    return isqrt(n)
+def places_over(p: int) -> tuple[Place, ...]:
+    """The places over a rational prime, one or two of them."""
+    out = factor_rational_prime(p)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with |n| = prod p^e, by trial division; n must be nonzero."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def valuation(x: EisensteinNumber, place: Place) -> int:
@@ -656,13 +687,13 @@ def is_local_cube(x: EisensteinNumber, place: Place) -> bool:
     return ring.pow(r, (place.q - 1) // 3) == ring.one
 
 
-# --- tame invariants (p != 3) ------------------------------------------------
+# --- local invariants --------------------------------------------------------
 
 def tame_hilbert_symbol(u: LocalElement, theta: LocalElement, place: Place) -> InvariantValue:
     """Invariant of the cyclic algebra (k_v(cbrt(theta))/k_v, u) for p != 3.
 
     Reduces w = (-1)^(v(u)v(theta)) * u^v(theta) / theta^v(u) to a unit and
-    reads off w^((q-1)/3) in the residue field.
+    reads off w^((q-1)/3) = zeta^j in the residue field; the invariant is j/3.
     """
     if place.kind == "ramified":
         raise ValueError("tame symbol requires residue characteristic != 3")
@@ -683,222 +714,72 @@ def tame_hilbert_symbol(u: LocalElement, theta: LocalElement, place: Place) -> I
     zf = field.zeta
     for j in range(3):
         if r == field.pow(zf, j):
-            return InvariantValue(ORIENTATION * j)
+            return InvariantValue(j)
     raise ArithmeticError("cube-power residue is not a root of unity")  # unreachable
 
 
-# --- wild invariants (place over 3) ------------------------------------------
-
-def _kummer_normalize(theta: EisensteinNumber, place: Place) -> EisensteinNumber:
-    """Integral representative of theta's cube class with valuation 0 or 1."""
-    den = lcm(theta.x.denominator, theta.y.denominator)
-    m = theta * den ** 3  # same class mod cubes, now in Z[zeta]
-    while valuation(m, place) >= 3:
-        m = m / place.pi ** 3
-    if valuation(m, place) == 2:
-        m = m * m / place.pi ** 3
-    return m
-
-
-class WildNormClassifier:
-    """Norm-coset classifier for K_w = k_v(cbrt(theta)) over the place 3.
-
-    Built by brute force: the attained norms of 1 + b*eta + c*eta^2 (eta^3 the
-    normalized representative m), cubes of units, and the norm m of eta itself
-    generate a subgroup Gamma of index 3 in (valuation mod 3) x (units mod
-    pi^precision).  If the ring o_v[eta] falls short of the maximal order
-    (possible when v(m) = 0), exact global norms from k(cbrt(m)) top Gamma up.
-    The classifier sends each class to its coset exponent j, anchored so that
-    j(zeta) = 1; when zeta itself is a norm the anchor falls back to the
-    smallest non-norm class and `anchored` is False.
-    """
-
-    def __init__(self, theta: EisensteinNumber, place: Place, precision: int = 4,
-                 stability_check: bool = True):
-        if place.kind != "ramified":
-            raise ValueError("wild classifier only applies over 3")
-        self.place = place
-        self.theta = _coerce(theta)
-        self.precision = precision
-        self.degenerate = is_local_cube(self.theta, place)
-        self.anchored = False
-        if self.degenerate:
-            return
-        self.m = _kummer_normalize(self.theta, place)
-        cosets, anchored = self._build(precision)
-        self._cosets = cosets
-        self.anchored = anchored
-        if stability_check:
-            hi, _ = self._build(precision + 2)
-            self._check_agreement(hi, precision + 2)
-
-    # group elements are (valuation mod 3, packed unit residue mod pi^P)
-
-    def _build(self, prec: int):
-        place = self.place
-        ring = residue_ring(place, prec)
-        m_ring = ring.embed(self.m)
-        m2_ring = ring.mul(m_ring, m_ring)
-        three_m = ring.mul(ring.embed(EisensteinNumber(3)), m_ring)
-        gens = set()
-        elems = list(ring.elements())
-        cubes = {b: ring.pow(b, 3) for b in elems}
-        mb3 = {b: ring.mul(m_ring, cubes[b]) for b in elems}
-        m2c3 = {c: ring.mul(m2_ring, cubes[c]) for c in elems}
-        tmb = {b: ring.mul(three_m, b) for b in elems}
-        one = ring.one
-        for b in elems:
-            base = ring.add(one, mb3[b])
-            for c in elems:
-                n = ring.add(ring.add(base, m2c3[c]), ring.neg(ring.mul(tmb[b], c)))
-                if n[0] % 3:  # unit
-                    gens.add((0, ring.pack(n)))
-        for u in ring.units():
-            gens.add((0, ring.pack(cubes[u])))
-        vm = valuation(self.m, place)
-        mu = self.m / place.pi ** vm
-        gens.add((vm % 3, ring.pack(ring.embed(mu))))
-
-        unit_count = sum(1 for _ in ring.units())
-        full = 3 * unit_count
-        gamma = self._close(gens, ring)
-        if full % len(gamma) or full // len(gamma) != 3:
-            gamma = self._supplement(gamma, ring, full)
-        zeta_key = (0, ring.pack(ring.embed(ZETA)))
-        if zeta_key not in gamma:
-            gen = zeta_key
-            anchored = True
-        else:
-            all_keys = set()
-            for v in range(3):
-                for u in ring.units():
-                    all_keys.add((v, ring.pack(u)))
-            gen = min(all_keys - gamma)
-            anchored = False
-        c1 = self._translate(gamma, gen, ring)
-        c2 = self._translate(c1, gen, ring)
-        return (frozenset(gamma), frozenset(c1), frozenset(c2)), anchored
-
-    def _key_mul(self, k1, k2, ring):
-        u1 = divmod(k1[1], ring.mt)
-        u2 = divmod(k2[1], ring.mt)
-        return ((k1[0] + k2[0]) % 3, ring.pack(ring.mul(u1, u2)))
-
-    def _close(self, gens, ring) -> set:
-        group = {(0, ring.pack(ring.one))}
-        frontier = list(group)
-        gens = set(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self._key_mul(x, g, ring)
-                    if y not in group:
-                        group.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return group
-
-    def _supplement(self, gamma: set, ring, full: int) -> set:
-        # o_v[eta] missed part of the norm group; add exact norms from the
-        # global cubic field k(cbrt(m)) until index 3 is reached
-        place = self.place
-        m = self.m
-        small = [EisensteinNumber(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-        budget = 0
-        for a in small:
-            for b in small:
-                for c in small:
-                    budget += 1
-                    if budget > 4000:
-                        raise ArithmeticError("wild classifier enumeration budget exceeded")
-                    n = a ** 3 + m * b ** 3 + m * m * c ** 3 - 3 * m * a * b * c
-                    if n.is_zero:
-                        continue
-                    v = valuation(n, place)
-                    nu = n / place.pi ** v
-                    key = (v % 3, ring.pack(ring.embed(nu)))
-                    if key not in gamma:
-                        gamma = self._close(gamma | {key}, ring)
-                    if len(gamma) * 3 == full:
-                        return gamma
-        raise ArithmeticError("wild classifier enumeration budget exceeded")
-
-    def _translate(self, coset, gen, ring):
-        return {self._key_mul(x, gen, ring) for x in coset}
-
-    def _check_agreement(self, hi_cosets, hi_prec: int) -> None:
-        hi_ring = residue_ring(self.place, hi_prec)
-        lo_ring = residue_ring(self.place, self.precision)
-        for jhi, coset in enumerate(hi_cosets):
-            for (v, packed) in coset:
-                u = divmod(packed, hi_ring.mt)
-                lo = hi_ring.reduce_to(u, lo_ring)
-                if self._lookup(v, lo_ring.pack(lo)) != jhi:
-                    raise ArithmeticError(
-                        "wild classifier unstable: refinement disagrees with base table")
-
-    def _lookup(self, vmod: int, packed: int) -> int:
-        key = (vmod % 3, packed)
-        for j, coset in enumerate(self._cosets):
-            if key in coset:
-                return j
-        raise ArithmeticError("residue class not classified (non-unit residue?)")
-
-    def classify(self, u: LocalElement) -> int:
-        """Raw coset exponent j of a local element (0 when degenerate)."""
-        if self.degenerate:
-            return 0
-        if u.precision < self.precision:
-            raise PrecisionError(
-                f"unit residue needed mod pi^{self.precision}, have pi^{u.precision}")
-        ring = residue_ring(self.place, u.precision)
-        lo = residue_ring(self.place, self.precision)
-        reduced = ring.reduce_to(u.unit, lo)
-        return self._lookup(u.valuation % 3, lo.pack(reduced))
+def unit_resolution(place: Place) -> int:
+    """pi-adic digits of a unit needed to read its norm-coset class."""
+    return 4 if place.kind == "ramified" else 1
 
 
 @lru_cache(maxsize=64)
-def _cached_wild_classifier(theta: EisensteinNumber, place: Place,
-                            precision: int) -> WildNormClassifier:
-    return WildNormClassifier(theta, place, precision)
+def invariant_table(theta: EisensteinNumber, place: Place) -> Mapping[tuple[int, int], int]:
+    """The local invariants j/3 of (k_v(cbrt(theta))/k_v, pi^v * u) as a map
+    (v mod 3, packed u) -> j, u running over the units mod pi^unit_resolution.
 
+    Away from 3 the entries are tame symbols.  Over 3, units congruent to 1
+    mod 9 are cubes, so the invariant depends only on the class (v mod 3,
+    u mod pi^4), and Hilbert reciprocity fixes it: inv_3(x, theta) is minus
+    the sum of inv_w(x, theta) over the places w not over 3, for the global
+    representative x = pi^v * (s + t*pi) of the class.  Only places dividing
+    N(x) * N(theta) contribute; k has no real places.
+    """
+    theta = _coerce(theta)
+    if theta.is_zero:
+        raise ValueError("theta must be nonzero")
+    ring = residue_ring(place, unit_resolution(place))
+    table = {}
+    if place.kind != "ramified":
+        th = localize(theta, place, 1)
+        for u in ring.units():
+            for v in range(3):
+                le = LocalElement(place, v, u, 1)
+                table[(v, ring.pack(u))] = tame_hilbert_symbol(le, th, place).j
+        return MappingProxyType(table)
+    n_theta = theta.norm()
+    for s, t in ring.units():
+        for v in range(3):
+            x = place.pi ** v * EisensteinNumber(s + t, 2 * t)
+            n = x.norm() * n_theta
+            primes = set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
+            tame = sum(tame_hilbert_symbol(localize(x, w, 1), localize(theta, w, 1), w).j
+                       for p in primes - {3} for w in places_over(p))
+            table[(v, ring.pack((s, t)))] = -tame % 3
+    return MappingProxyType(table)
 
-def wild_norm_classifier(theta: EisensteinNumber, precision: int = 4,
-                         place: Optional[Place] = None) -> WildNormClassifier:
-    """Classifier of k_v*/(norms of k_v(cbrt(theta))*) at the place over 3."""
-    if place is None:
-        place = factor_rational_prime(3)
-    return _cached_wild_classifier(_coerce(theta), place, precision)
-
-
-# --- the dispatcher ----------------------------------------------------------
 
 def cyclic_invariant(u, theta, place: Place) -> InvariantValue:
     """Local invariant of the cyclic algebra (k_v(cbrt(theta))/k_v, u).
 
-    u may be an exact EisensteinNumber or an already-localized LocalElement;
-    theta must be exact.  If cbrt(theta) lies in k_v the algebra splits and
-    the invariant is 0 regardless of u.
+    u may be an exact EisensteinNumber or an already-localized LocalElement
+    known mod pi^unit_resolution(place) or finer; theta must be exact.
 
     >>> v3 = factor_rational_prime(3)
     >>> print(cyclic_invariant(ZETA, EisensteinNumber(Fraction(2, 3)), v3))
     2/3
     """
-    theta = _coerce(theta)
-    if theta.is_zero:
-        raise ValueError("theta must be nonzero")
-    if is_local_cube(theta, place):
-        return InvariantValue(0)
-    if place.kind == "ramified":
-        cls = wild_norm_classifier(theta, place=place)
-        if not isinstance(u, LocalElement):
-            u = localize(_coerce(u), place, cls.precision)
-        return InvariantValue(ORIENTATION * cls.classify(u))
+    m = unit_resolution(place)
     if not isinstance(u, LocalElement):
-        u = localize(_coerce(u), place, 2)
-    th = localize(theta, place, u.precision)
-    return tame_hilbert_symbol(u, th, place)
+        u = localize(_coerce(u), place, m)
+    if u.place != place:
+        raise ValueError("local element belongs to a different place")
+    if u.precision < m:
+        raise PrecisionError(f"unit residue needed mod pi^{m}, have pi^{u.precision}")
+    lo = residue_ring(place, m)
+    unit = residue_ring(place, u.precision).reduce_to(u.unit, lo)
+    table = invariant_table(theta, place)
+    return InvariantValue(table[(u.valuation % 3, lo.pack(unit))])
 
 
 if __name__ == "__main__":

@@ -183,12 +183,14 @@ def _act_on_label(g: Triple, label: LineLabel) -> LineLabel:
     return LineLabel(2, (label.r + g3) % 3, (label.s + g2 - g1) % 3)
 
 
+@lru_cache(maxsize=None)
 def _group_from_triples(triples: tuple[Triple, ...]) -> tuple[
         FiniteGroup, tuple[tuple[int, ...], ...]]:
     """FiniteGroup structure plus line permutations for a subgroup of (Z/3)^3.
 
     Element 0 is (0,0,0); permutations send label index i to the index of
     the image line.  Every permutation is checked to preserve incidence.
+    Memoized: the result is immutable and (Z/3)^3 has only 28 subgroups.
     """
     elements = tuple(sorted(set(triples)))
     if elements[0] != (0, 0, 0):

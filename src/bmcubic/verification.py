@@ -48,10 +48,6 @@ def _check(name: str, slow: bool = False):
     return register
 
 
-def check_names(include_slow: bool = True) -> tuple[str, ...]:
-    return tuple(n for n, slow, _ in _REGISTRY if include_slow or not slow)
-
-
 def run_checks(include_slow: bool = True, jobs: int = 1) -> tuple[CheckResult, ...]:
     """Run the registry in order; never raises, failures become FAIL rows."""
     results = []

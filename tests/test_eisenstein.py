@@ -1,9 +1,9 @@
 """Tests for Q(zeta_3) arithmetic, places, residue rings and local invariants.
 
-The strongest oracle here is the norm-kernel property: exact norms from
-K_0 = k(cbrt(2/3)) must have invariant 0 at every place, which exercises the
-tame formula and the wild classifier against field arithmetic that never
-touches either code path.
+The strongest oracles here are the norm-kernel property (exact norms from
+K_0 = k(cbrt(2/3)) have invariant 0 at every place), which checks the tame
+symbol and the reciprocity-filled table over 3 against field arithmetic that
+touches neither, and Hilbert reciprocity for random pairs (u, theta).
 """
 
 from fractions import Fraction
@@ -17,16 +17,16 @@ from bmcubic.eisenstein import (
     ZETA,
     EisensteinNumber,
     InvariantValue,
-    LocalElement,
     PrecisionError,
+    _prime_factors,
     cyclic_invariant,
     factor_rational_prime,
     is_local_cube,
     localize,
+    places_over,
     residue_ring,
     tame_hilbert_symbol,
     valuation,
-    wild_norm_classifier,
 )
 
 THETA = EisensteinNumber(Fraction(2, 3))
@@ -223,18 +223,15 @@ def test_tame_rejects_wild_place():
         tame_hilbert_symbol(localize(ZETA, V3), localize(THETA, V3), V3)
 
 
-# --- wild classifier ---------------------------------------------------------
+# --- the place over 3 --------------------------------------------------------
 
 def test_wild_classifier_paper_values():
-    cls = wild_norm_classifier(THETA)
-    assert not cls.degenerate
-    assert cls.anchored
     # sqrt(-3) = N(-1 - 2*zeta + (1 - zeta)*cbrt(2/3)) is a norm
-    assert cls.classify(localize(PI3, V3)) == 0
+    assert cyclic_invariant(PI3, THETA, V3) == InvariantValue(0)
     # 3 + 4*zeta = N(1 + (-1 - 2*zeta)*cbrt(2/3)) is a norm
-    assert cls.classify(localize(EisensteinNumber(3, 4), V3)) == 0
+    assert cyclic_invariant(EisensteinNumber(3, 4), THETA, V3) == InvariantValue(0)
     # the anchor
-    assert cls.classify(localize(ZETA, V3)) == 1
+    assert cyclic_invariant(ZETA, THETA, V3) == InvariantValue(2)
 
 
 @pytest.mark.parametrize("j, c", [(1, 3), (4, 0), (7, -3)])
@@ -254,29 +251,23 @@ def test_first_chart_residue_cosets(j, c):
 
 @given(eis(-4, 4))
 def test_wild_units_one_mod_nine_are_norms(a):
-    cls = wild_norm_classifier(THETA)
     u = ONE + 9 * a
-    assert cls.classify(localize(u, V3)) == 0
+    assert cyclic_invariant(u, THETA, V3) == InvariantValue(0)
 
 
 def test_wild_classifier_class_invariance():
-    # 18 = (2/3) * 27 defines the same extension, hence the same classifier
-    a = wild_norm_classifier(THETA)
-    b = wild_norm_classifier(EisensteinNumber(18))
+    # 18 = (2/3) * 27 defines the same extension, hence the same invariants
     for u in (ZETA, PI3, EisensteinNumber(2), EisensteinNumber(3, 4), EisensteinNumber(5)):
-        assert a.classify(localize(u, V3)) == b.classify(localize(u, V3))
+        assert cyclic_invariant(u, THETA, V3) == cyclic_invariant(u, 18, V3)
 
 
 def test_wild_classifier_degenerate():
-    cls = wild_norm_classifier(ONE)
-    assert cls.degenerate
-    assert cls.classify(localize(EisensteinNumber(5), V3)) == 0
+    assert cyclic_invariant(EisensteinNumber(5), ONE, V3) == InvariantValue(0)
 
 
 def test_wild_classifier_needs_precision():
-    cls = wild_norm_classifier(THETA)
     with pytest.raises(PrecisionError):
-        cls.classify(localize(ZETA, V3, precision=2))
+        cyclic_invariant(localize(ZETA, V3, precision=2), THETA, V3)
 
 
 # --- the anchor and the dispatcher -------------------------------------------
@@ -317,6 +308,35 @@ def test_norm_kernel(a, b, c):
         return
     for place in (V2, V3, V5, V7):
         assert cyclic_invariant(n, THETA, place) == InvariantValue(0)
+
+
+def _places_dividing(n: Fraction):
+    primes = {3} | set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
+    return [w for p in sorted(primes) for w in places_over(p)]
+
+
+@given(eis_nonzero(), eis_nonzero())
+@settings(max_examples=40)
+def test_hilbert_reciprocity(u, theta):
+    # inv_v(u, theta) vanishes wherever u and theta are both units
+    places = _places_dividing(u.norm() * theta.norm())
+    total = sum((cyclic_invariant(u, theta, w) for w in places), InvariantValue(0))
+    assert total == InvariantValue(0)
+
+
+@given(eis_nonzero(), eis_nonzero())
+@settings(max_examples=40)
+def test_invariant_of_theta_squared_is_negated(u, theta):
+    for w in _places_dividing(u.norm() * theta.norm()):
+        a = cyclic_invariant(u, theta, w)
+        assert cyclic_invariant(u, theta * theta, w) + a == InvariantValue(0)
+
+
+@given(eis_nonzero(), eis_nonzero(), eis_nonzero(-3, 3))
+@settings(max_examples=40)
+def test_invariant_ignores_cube_factor_of_theta(u, theta, c):
+    for w in _places_dividing(u.norm() * theta.norm() * c.norm()):
+        assert cyclic_invariant(u, theta * c ** 3, w) == cyclic_invariant(u, theta, w)
 
 
 def test_invariant_value_arithmetic():
