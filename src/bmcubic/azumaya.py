@@ -251,73 +251,57 @@ class LocalPointClass:
     certificate: tuple[int, int]
 
     def coordinates_exact(self) -> tuple[EisensteinNumber, ...]:
-        out = []
-        for e in self.coords:
-            if self.place.kind == "split":
-                out.append(EisensteinNumber(e))
-            elif self.place.kind == "inert":
-                out.append(EisensteinNumber(e[0], e[1]))
-            else:
-                s, t = e
-                out.append(EisensteinNumber(s + t, 2 * t))
-        return tuple(out)
-
-
-class _RingTables:
-    """Element lists and power tables of o_v/pi^N, shared by the scanners."""
-
-    def __init__(self, place: Place, precision: int):
-        self.ring = residue_ring(place, precision)
-        self.elems = list(self.ring.elements())
-        self.val = {e: self.ring.valuation(e) for e in self.elems}
-        self.nonunits = [e for e in self.elems if self.val[e] > 0]
-        self.sq = {e: self.ring.mul(e, e) for e in self.elems}
-        self.cube = {e: self.ring.mul(self.sq[e], e) for e in self.elems}
-
-
-@lru_cache(maxsize=32)
-def _ring_tables(place: Place, precision: int) -> _RingTables:
-    return _RingTables(place, precision)
-
-
-def _ring_size(place: Place, precision: int) -> int:
-    if place.kind == "split":
-        return place.p ** precision
-    if place.kind == "inert":
-        return place.p ** (2 * precision)
-    return 3 ** precision
+        ring = residue_ring(self.place, self.precision)
+        return tuple(ring.lift(e) for e in self.coords)
 
 
 class _LocalModel:
-    """Coefficients of the surface embedded at one place and precision.
+    """The primitive surface equation over o_v/pi^N as arrays indexed by
+    packed element id.
 
-    Any common pi-power of the coefficients is removed first, so the model
-    equation is primitive; term[i] maps a residue u to c_i*u^3 and roots[i]
-    inverts that map, which turns the point scan into table lookups.
+    Any common pi-power of the coefficients is removed first.  The model
+    holds the valuation, square and cube of every residue, term[i] = c_i*x^3,
+    dval[i] = v(3*c_i*x^2) (the i-th partial at a point with x_i = x), and
+    for the two coordinates the scan solves for, CSR root tables of
+    x -> c_j*x^3: roots[j] = (counts, offsets, order) with order listing
+    ids sorted by the value, so the fiber over a value is a slice.  Every
+    entry comes from the residue ring's own arithmetic applied to arrays.
     """
 
     def __init__(self, coeffs: Coeffs, place: Place, precision: int):
-        t = _ring_tables(place, precision)
-        self.tables = t
-        ring = t.ring
+        ring = residue_ring(place, precision)
+        self.ring = ring
+        self.ids = np.arange(ring.size, dtype=np.int64)
+        x = ring.unpack(self.ids)
+        # v(x) >= k exactly when x vanishes mod pi^k
+        self.val = np.zeros(ring.size, dtype=np.int64)
+        for k in range(1, precision + 1):
+            low = residue_ring(place, k)
+            self.val += low.pack(ring.reduce_to(x, low)) == 0
+        self.nonunits = self.ids[self.val > 0]
+        self.one = ring.pack(ring.one)
+        sq = ring.mul(x, x)
+        cube = ring.mul(sq, x)
+        self.sq, self.cube = ring.pack(sq), ring.pack(cube)
         exact = [EisensteinNumber(c) for c in coeffs]
         content = min(valuation(c, place) for c in exact)
-        reduced = [c / place.pi ** content for c in exact]
-        self.embedded = tuple(ring.embed(c) for c in reduced)
+        embedded = [ring.embed(c / place.pi ** content) for c in exact]
         three = ring.embed(EisensteinNumber(3))
-        # dval[i][u] = v(3 c_i u^2), the i-th partial at a point with x_i = u
-        self.dval = tuple(
-            {e: t.val[ring.mul(ring.mul(three, ci), t.sq[e])] for e in t.elems}
-            for ci in self.embedded)
-        self.term = tuple(
-            {e: ring.mul(ci, t.cube[e]) for e in t.elems}
-            for ci in self.embedded)
-        self.roots: tuple[dict, ...] = tuple({} for _ in range(4))
-        for i in range(4):
-            table = self.roots[i]
-            term = self.term[i]
-            for e in t.elems:
-                table.setdefault(term[e], []).append(e)
+        self.term = tuple(ring.pack(ring.mul(c, cube)) for c in embedded)
+        self.dval = tuple(self.val[ring.pack(ring.mul(ring.mul(three, c), sq))]
+                          for c in embedded)
+        self.roots = {}
+        for j in (2, 3):
+            counts = np.bincount(self.term[j], minlength=ring.size)
+            offs = np.zeros(ring.size, dtype=np.int64)
+            np.cumsum(counts[:-1], out=offs[1:])
+            self.roots[j] = (counts, offs,
+                             np.argsort(self.term[j], kind="stable"))
+
+    def power(self, ids, e: int):
+        if e == 1:
+            return ids
+        return (self.sq if e == 2 else self.cube)[ids]
 
 
 @lru_cache(maxsize=32)
@@ -325,51 +309,111 @@ def _local_model(coeffs: Coeffs, place: Place, precision: int) -> _LocalModel:
     return _LocalModel(coeffs, place, precision)
 
 
+_BATCH_CLASSES = 1 << 18
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """The residue classes with F = 0 mod pi^N for one leading coordinate
+    i0 = 1, one value a of the first free coordinate and a run of values
+    of the second.
+
+    roles = (i0, fa, fb, sj) names the leading, the two free and the solved
+    coordinate.  Class k has x_fa = a, x_fb = b_pool[pmap[k]] and
+    x_sj = sol[k] (element ids), and dval[i, k] is the valuation of its
+    i-th partial derivative.
+    """
+
+    roles: tuple[int, int, int, int]
+    a: int
+    b_pool: np.ndarray
+    pmap: np.ndarray
+    sol: np.ndarray
+    dval: np.ndarray
+
+    @property
+    def w(self) -> np.ndarray:
+        """Certificate valuation: the least partial valuation per class."""
+        return self.dval.min(axis=0)
+
+    @property
+    def idx(self) -> np.ndarray:
+        """Certificate index: the first coordinate attaining w."""
+        return self.dval.argmin(axis=0)
+
+
+def _batches(model: _LocalModel,
+             partition: Optional[tuple[int, int]] = None) -> Iterator[_Batch]:
+    """Every residue class mod pi^N with F = 0 mod pi^N and first unit
+    coordinate 1, in nonempty batches of one (i0, a) and a run of b, in a
+    fixed order.
+
+    For each choice of leading coordinate the last remaining coordinate is
+    solved by root lookup; the free coordinates run over the full ring, or
+    over nonunits when they precede the leading coordinate.  A partition
+    (k, n) keeps only free values a with pack(a) = k mod n.
+    """
+    ring = model.ring
+    for i0 in range(4):
+        sj = max(j for j in range(4) if j != i0)
+        fa, fb = (j for j in range(4) if j not in (i0, sj))
+        a_pool = model.nonunits if fa < i0 else model.ids
+        b_pool = model.nonunits if fb < i0 else model.ids
+        if partition is not None:
+            a_pool = a_pool[a_pool % partition[1] == partition[0]]
+        base = ring.unpack(model.term[i0][model.one])
+        neg_tb = ring.neg(ring.unpack(model.term[fb][b_pool]))
+        rcnt, roff, rflat = model.roots[sj]
+        dv_one = int(model.dval[i0][model.one])
+        dvb = model.dval[fb][b_pool]
+        for a in a_pool.tolist():
+            s1 = ring.add(base, ring.unpack(int(model.term[fa][a])))
+            rhs = ring.pack(ring.add(ring.neg(s1), neg_tb))
+            cnt = rcnt[rhs]
+            nz = np.nonzero(cnt)[0]
+            if not len(nz):
+                continue
+            # a run of b values whose root fibers end in one block of
+            # _BATCH_CLASSES classes makes one batch, which bounds memory
+            runs = np.flatnonzero(np.diff(np.cumsum(cnt[nz]) // _BATCH_CLASSES))
+            for bs in np.split(nz, runs + 1):
+                # expand the root fibers over the run in one step
+                lens = cnt[bs]
+                stops = np.cumsum(lens)
+                inner = np.arange(int(stops[-1]), dtype=np.int64) - np.repeat(
+                    stops - lens, lens)
+                sols = rflat[np.repeat(roff[rhs[bs]], lens) + inner]
+                pmap = np.repeat(bs, lens)
+                if sj < i0:
+                    keep = model.val[sols] > 0
+                    pmap, sols = pmap[keep], sols[keep]
+                    if not len(pmap):
+                        continue
+                dv = np.empty((4, len(pmap)), dtype=np.int64)
+                dv[i0] = dv_one
+                dv[fa] = model.dval[fa][a]
+                dv[fb] = dvb[pmap]
+                dv[sj] = model.dval[sj][sols]
+                yield _Batch((i0, fa, fb, sj), a, b_pool, pmap, sols, dv)
+
+
 def _scan(coeffs: Coeffs, place: Place, precision: int,
           partition: Optional[tuple[int, int]] = None
           ) -> Iterator[tuple[tuple, int, int, bool]]:
-    """Stream (coords, cert_index, cert_valuation, certified) over all
-    residue classes mod pi^N with F = 0 mod pi^N, first unit coordinate 1.
-
-    For each choice of leading coordinate the last remaining coordinate is
-    solved by root lookup; the one or two free coordinates run over the
-    full ring, or over nonunits when they precede the leading coordinate.
-    A partition (k, n) keeps only free values with pack(a) = k mod n.
-    """
+    """Stream (coords, cert_index, cert_valuation, certified) over the
+    classes of `_batches`, one class at a time, coordinates as ring
+    elements."""
     model = _local_model(coeffs, place, precision)
-    t = model.tables
-    ring = t.ring
-    one = ring.one
-    for i0 in range(4):
-        solve_j = max(j for j in range(4) if j != i0)
-        fa, fb = (j for j in range(4) if j not in (i0, solve_j))
-        range_a = t.nonunits if fa < i0 else t.elems
-        range_b = t.nonunits if fb < i0 else t.elems
-        base = model.term[i0][one]
-        term_a, term_b = model.term[fa], model.term[fb]
-        roots = model.roots[solve_j]
-        need_nonunit = solve_j < i0
-        dv = model.dval
-        coords = [one, one, one, one]
-        for a in range_a:
-            if partition is not None and ring.pack(a) % partition[1] != partition[0]:
-                continue
-            s1 = ring.add(base, term_a[a])
-            for b in range_b:
-                rhs = ring.neg(ring.add(s1, term_b[b]))
-                for sol in roots.get(rhs, ()):
-                    if need_nonunit and t.val[sol] == 0:
-                        continue
-                    coords[i0] = one
-                    coords[fa] = a
-                    coords[fb] = b
-                    coords[solve_j] = sol
-                    w = idx = None
-                    for i in range(4):
-                        wi = dv[i][coords[i]]
-                        if w is None or wi < w:
-                            w, idx = wi, i
-                    yield tuple(coords), idx, w, precision > 2 * w
+    ring = model.ring
+    for bt in _batches(model, partition):
+        _, fa, fb, sj = bt.roles
+        coords = [ring.one] * 4
+        coords[fa] = ring.unpack(bt.a)
+        for b, sol, w, idx in zip(bt.b_pool[bt.pmap].tolist(), bt.sol.tolist(),
+                                  bt.w.tolist(), bt.idx.tolist()):
+            coords[fb] = ring.unpack(b)
+            coords[sj] = ring.unpack(sol)
+            yield tuple(coords), idx, w, precision > 2 * w
 
 
 def enumerate_local_points(coeffs: Sequence[int], place: Place,
@@ -400,12 +444,11 @@ class _ClassEvaluator:
         self.cls = cls
         self.place = place
         self.precision = precision
-        self.t = _ring_tables(place, precision)
+        self.ring = ring = residue_ring(place, precision)
         self.m_v = unit_resolution(place)
         self.split = is_local_cube(cls.theta, place)
         if self.split:
             return
-        ring = self.t.ring
         self.lo = residue_ring(place, self.m_v)
         numerators: list[tuple] = []
         self.num_index: dict[tuple, int] = {}
@@ -424,15 +467,14 @@ class _ClassEvaluator:
         self.table = invariant_table(cls.theta, place)
 
     def _unit_mod_m(self, value, v: int):
-        ring = self.t.ring
-        u = ring.unit_part(value, v)
+        u = self.ring.unit_part(value, v)
         src = residue_ring(self.place, self.precision - v)
         return src.reduce_to(u, self.lo)
 
     def numerator_values(self, coords) -> list:
-        ring = self.t.ring
-        t = self.t
-        pows = tuple((None, c, t.sq[c], t.cube[c]) for c in coords)
+        ring = self.ring
+        sqs = [ring.mul(c, c) for c in coords]
+        pows = [(None, c, sq, ring.mul(sq, c)) for c, sq in zip(coords, sqs)]
         out = []
         for terms in self.num_terms:
             acc = None
@@ -452,19 +494,18 @@ class _ClassEvaluator:
         if limit < 0:
             raise NoEvaluableChart(
                 f"certificate pi^{w} leaves no unit digits at {self.place}")
-        t = self.t
-        ring = t.ring
+        ring = self.ring
         lo = self.lo
         nums = self.numerator_values(coords)
-        num_val = [t.val[n] for n in nums]
+        num_val = [ring.valuation(n) for n in nums]
         seen = {}
         for num_i, den_i, const_v, const_u in self.charts:
             vn = num_val[num_i]
-            vd = 3 * t.val[coords[den_i]]
+            vd = 3 * ring.valuation(coords[den_i])
             if vn > limit or vd > limit:
                 continue
             un = self._unit_mod_m(nums[num_i], vn)
-            ud = self._unit_mod_m(t.cube[coords[den_i]], vd)
+            ud = self._unit_mod_m(ring.pow(coords[den_i], 3), vd)
             u = lo.mul(lo.mul(un, lo.inv(ud)), const_u)
             v = const_v + vn - vd
             seen[(num_i, den_i)] = self.table[(v % 3, lo.pack(u))]
@@ -508,7 +549,8 @@ class PlaceReport:
 def _attained_reference(coeffs: Coeffs, cls: AzumayaClass, place: Place,
                         precision: int,
                         partition: Optional[tuple[int, int]] = None):
-    """Dict-walking attained-set computation; oracle for the array engine."""
+    """Attained set by the scalar evaluator, one class of `_scan` at a
+    time; the oracle for the array engine."""
     ev = _class_evaluator(cls, place, precision)
     attained = set()
     count = 0
@@ -529,14 +571,13 @@ class _Incomplete(Exception):
 
 
 class _VecEngine:
-    """The scan and the chart evaluator compiled to integer arrays.
+    """The chart evaluator compiled to integer arrays over `_batches`.
 
-    Ring elements are addressed by their position in the ring's element
-    order, which coincides with ring.pack.  Everything the per-class
-    evaluation needs (valuations, cubes, unit parts reduced to the small
-    invariant-reading ring, per-chart invariant tables) is tabulated once,
-    and each block of free residues is then processed with array lookups
-    instead of per-class dictionary walks.
+    Ring elements are addressed by packed id, as in `_LocalModel`.  What
+    the evaluation needs beyond the model (unit parts reduced to the small
+    invariant-reading ring, its multiplication table, the invariant table)
+    is tabulated once, and each batch of classes is then evaluated with
+    array lookups and the ring's arithmetic on arrays.
     """
 
     SIZE_CAP = 6_000_000
@@ -546,66 +587,27 @@ class _VecEngine:
         self.place = place
         self.precision = precision
         self.m_v = unit_resolution(place)
-        if _ring_size(place, precision) > self.SIZE_CAP:
+        ring = residue_ring(place, precision)
+        if ring.size > self.SIZE_CAP:
             raise NoStabilization(
                 f"residue ring at {place} too large at precision {precision}")
-        t = _ring_tables(place, precision)
-        model = _local_model(coeffs, place, precision)
-        ring = t.ring
         self.ring = ring
-        self.elems = t.elems
-        self.model = model
-        m = len(t.elems)
-        if place.kind == "split":
-            self.ma, self.mb, self.pb = ring.modulus, 1, 1
-        elif place.kind == "inert":
-            self.ma = self.mb = ring.modulus
-            self.pb = ring.modulus
-        else:
-            self.ma, self.mb, self.pb = ring.ms, ring.mt, ring.mt
-        idx = {e: i for i, e in enumerate(t.elems)}
-        self.one_id = idx[ring.one]
+        self.model = model = _local_model(coeffs, place, precision)
         self._redcache: dict[int, np.ndarray] = {}
-        self.ca = np.fromiter((self._comps(e)[0] for e in t.elems), np.int64, m)
-        self.cb = np.fromiter((self._comps(e)[1] for e in t.elems), np.int64, m)
-        self.val = np.fromiter((t.val[e] for e in t.elems), np.int64, m)
-        self.sq_ids = np.fromiter((idx[t.sq[e]] for e in t.elems), np.int64, m)
-        self.cube_ids = np.fromiter((idx[t.cube[e]] for e in t.elems), np.int64, m)
-        self.all_ids = np.arange(m, dtype=np.int64)
-        self.nonunit_ids = self.all_ids[self.val > 0]
-        self.term_ids = tuple(
-            np.fromiter((idx[model.term[i][e]] for e in t.elems), np.int64, m)
-            for i in range(4))
-        self.dval = tuple(
-            np.fromiter((model.dval[i][e] for e in t.elems), np.int64, m)
-            for i in range(4))
-        # CSR root tables: roots_flat[j] lists element ids sorted by the
-        # value of c_j * e^3, so the fiber over a packed rhs is a slice
-        self.roots = {}
-        for j in (2, 3):
-            order = np.argsort(self.term_ids[j], kind="stable")
-            counts = np.bincount(self.term_ids[j], minlength=m)
-            offs = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(counts, out=offs[1:])
-            self.roots[j] = (counts, offs[:-1], order)
         self.split = is_local_cube(cls.theta, place)
         if self.split:
             return
         lo = residue_ring(place, self.m_v)
-        lo_elems = list(lo.elements())
-        lsize = len(lo_elems)
-        self.ulow = np.zeros(m, dtype=np.int64)
-        for i, e in enumerate(t.elems):
-            v = t.val[e]
-            if v < precision:
-                u = ring.unit_part(e, v)
-                src = residue_ring(place, precision - v)
-                self.ulow[i] = lo.pack(src.reduce_to(u, lo))
-        self.lomul = np.zeros((lsize, lsize), dtype=np.int64)
-        for i, e1 in enumerate(lo_elems):
-            for j, e2 in enumerate(lo_elems):
-                self.lomul[i, j] = lo.pack(lo.mul(e1, e2))
-        self.jtab = np.full((3, lsize), -1, dtype=np.int64)
+        self.ulow = np.zeros(ring.size, dtype=np.int64)
+        for v in range(precision):
+            at_v = np.flatnonzero(model.val == v)
+            u = ring.unit_part(ring.unpack(at_v), v)
+            self.ulow[at_v] = lo.pack(
+                residue_ring(place, precision - v).reduce_to(u, lo))
+        lo_ids = np.arange(lo.size, dtype=np.int64)
+        self.lomul = lo.pack(lo.mul(lo.unpack(lo_ids[:, None]),
+                                    lo.unpack(lo_ids[None, :])))
+        self.jtab = np.full((3, lo.size), -1, dtype=np.int64)
         for (v, pu), j in invariant_table(cls.theta, place).items():
             self.jtab[v, pu] = j
         # The invariant map kills cubes, so a denominator x_d^3 never moves
@@ -633,20 +635,6 @@ class _VecEngine:
         self.collect_wmax = 0
         self.collect_other_branch = False
 
-    def _comps(self, e) -> tuple[int, int]:
-        if self.place.kind == "split":
-            return e, 0
-        return e
-
-    def _vmul(self, xa, xb, ya, yb):
-        if self.place.kind == "split":
-            return (xa * ya) % self.ma, 0
-        if self.place.kind == "inert":
-            return ((xa * ya - xb * yb) % self.ma,
-                    (xa * yb + xb * ya - xb * yb) % self.mb)
-        return ((xa * ya - 3 * xb * yb) % self.ma,
-                (xa * yb + xb * ya) % self.mb)
-
     def _split_numerator(self, numerator, fa: int, fb: int, sj: int):
         """Sort monomials by which free coordinates they touch.
 
@@ -668,21 +656,24 @@ class _VecEngine:
                 xterms.append((mono[fa], beta, delta, cemb))
         return sterms, bterms, xterms
 
-    def _pow_ids(self, ids, e: int):
-        if e == 1:
-            return ids
-        if e == 2:
-            return self.sq_ids[ids]
-        return self.cube_ids[ids]
+    def _branch(self, roles, b_pool):
+        """Per-leading-coordinate data over the pool of b values."""
+        _, fa, fb, sj = roles
+        nsplit = [self._split_numerator(num, fa, fb, sj)
+                  for num in self.num_groups]
+        bpows = (None,) + tuple(self.model.power(b_pool, e) for e in (1, 2, 3))
+        bpow_elems = (None,) + tuple(self.ring.unpack(ids) for ids in bpows[1:])
+        # denominator data over the free block, in chart rank
+        vdb = 3 * self.model.val[b_pool]
+        return roles, b_pool, nsplit, bpows, bpow_elems, vdb
 
     def _reduction_ids(self, p: int):
         # position of each element's image in o_v/pi^p, for batch dedup
         arr = self._redcache.get(p)
         if arr is None:
             tgt = residue_ring(self.place, p)
-            arr = np.fromiter(
-                (tgt.pack(self.ring.reduce_to(e, tgt)) for e in self.elems),
-                np.int64, len(self.elems))
+            arr = tgt.pack(self.ring.reduce_to(self.ring.unpack(self.model.ids),
+                                               tgt))
             self._redcache[p] = arr
         return arr
 
@@ -693,82 +684,32 @@ class _VecEngine:
             return None, stop.count, False
 
     def _run(self, part: int, nparts: int):
-        n = self.precision
-        ring = self.ring
-        elems = self.elems
-        one = ring.one
         bits = 0
         count = 0
-        for i0 in range(4):
-            sj = max(j for j in range(4) if j != i0)
-            fa, fb = (j for j in range(4) if j not in (i0, sj))
-            a_pool = self.nonunit_ids if fa < i0 else self.all_ids
-            b_pool = self.nonunit_ids if fb < i0 else self.all_ids
-            if nparts > 1:
-                a_pool = a_pool[a_pool % nparts == part]
-            need_nonunit_sol = sj < i0
-            base = self.model.term[i0][one]
-            # free-coordinate contribution to the equation, over the block
-            tb = self.term_ids[fb][b_pool]
-            tba, tbb = self.ca[tb], self.cb[tb]
-            rcnt, roff, rflat = self.roots[sj]
-            dv_one = int(self.dval[i0][self.one_id])
-            dvb = self.dval[fb][b_pool]
-            if not self.split:
-                nsplit = [self._split_numerator(num, fa, fb, sj)
-                          for num in self.num_groups]
-                bpows = (None, b_pool, self.sq_ids[b_pool],
-                         self.cube_ids[b_pool])
-                # denominator data over the free block, in chart rank
-                vdb = 3 * self.val[b_pool]
-                roles = (i0, fa, fb, sj)
-            for a_id in a_pool.tolist():
-                a_elem = elems[a_id]
-                s1 = ring.add(base, self.model.term[fa][a_elem])
-                s1a, s1b = self._comps(s1)
-                rhs_a = (-(s1a + tba)) % self.ma
-                rhs_ids = rhs_a * self.pb
-                if self.pb != 1:
-                    rhs_ids = rhs_ids + (-(s1b + tbb)) % self.mb
-                cnt = rcnt[rhs_ids]
-                nz = np.nonzero(cnt)[0]
-                if not len(nz):
-                    continue
-                # expand the root fibers over all free values in one step
-                lens = cnt[nz]
-                total = int(lens.sum())
-                stops = np.cumsum(lens)
-                inner = np.arange(total, dtype=np.int64) - np.repeat(
-                    stops - lens, lens)
-                sols = rflat[np.repeat(roff[rhs_ids[nz]], lens) + inner]
-                pmap = np.repeat(nz, lens)
-                if need_nonunit_sol:
-                    keep = self.val[sols] > 0
-                    pmap, sols = pmap[keep], sols[keep]
-                if not len(pmap):
-                    continue
-                dv_a = min(dv_one, int(self.dval[fa][a_id]))
-                w = np.minimum(np.minimum(dvb[pmap], self.dval[sj][sols]),
-                               dv_a)
-                cert = 2 * w < n
-                if not cert.any():
-                    continue
-                if not cert.all():
-                    pmap, sols, w = pmap[cert], sols[cert], w[cert]
-                count += len(pmap)
-                if self.split:
-                    bits |= 1
-                    continue
-                if self.collect is not None and i0 != 0:
-                    self.collect_other_branch = True
-                bits |= self._eval_batch(roles, a_id, a_elem, nsplit, b_pool,
-                                         bpows, vdb, pmap, sols, w, count)
+        branch = None
+        for bt in _batches(self.model, (part, nparts)):
+            pmap, sols, w = bt.pmap, bt.sol, bt.w
+            cert = 2 * w < self.precision
+            if not cert.any():
+                continue
+            if not cert.all():
+                pmap, sols, w = pmap[cert], sols[cert], w[cert]
+            count += len(pmap)
+            if self.split:
+                bits |= 1
+                continue
+            if self.collect is not None and bt.roles[0] != 0:
+                self.collect_other_branch = True
+            if branch is None or branch[0] != bt.roles:
+                branch = self._branch(bt.roles, bt.b_pool)
+            bits |= self._eval_batch(branch, bt.a, pmap, sols, w, count)
         return tuple(j for j in range(3) if bits >> j & 1), count, True
 
-    def _eval_batch(self, roles, a_id, a_elem, nsplit, b_pool, bpows, vdb,
-                    pmap, sols, w, count):
-        """Invariant bits attained on one certified batch (one a, all b)."""
+    def _eval_batch(self, branch, a_id, pmap, sols, w, count):
+        """Invariant bits attained on one certified batch."""
         ring = self.ring
+        model = self.model
+        roles, b_pool, nsplit, bpows, bpow_elems, vdb = branch
         i0, fa, fb, sj = roles
         # outcomes only depend on coordinates mod pi^(N - w), so classes
         # that merge at that precision are evaluated once
@@ -780,6 +721,7 @@ class _VecEngine:
             ui = np.unique(keys, return_index=True)[1]
             if len(ui) < len(pmap):
                 pmap, sols, w = pmap[ui], sols[ui], w[ui]
+        a_elem = ring.unpack(a_id)
         a2 = ring.mul(a_elem, a_elem)
         apow = (ring.one, a_elem, a2, ring.mul(a2, a_elem))
         limit = self.precision - self.m_v - w
@@ -788,48 +730,32 @@ class _VecEngine:
         jn_list, okn_list = [], []
         for sterms, bterms, xterms in nsplit:
             # fa-only part folds to one scalar per a
-            acc = None
+            acc = ring.zero
             for aexp, cemb in sterms:
-                v = ring.mul(cemb, apow[aexp])
-                acc = v if acc is None else ring.add(acc, v)
-            sa, sb = self._comps(acc) if acc is not None else (0, 0)
+                acc = ring.add(acc, ring.mul(cemb, apow[aexp]))
             # block part, evaluated once over b_pool then spread to pairs
-            ba = bb = None
+            block = None
             for aexp, beta, cemb in bterms:
-                ca, cb = self._comps(ring.mul(cemb, apow[aexp]))
-                xa, xb = self._vmul(ca, cb, self.ca[bpows[beta]],
-                                    self.cb[bpows[beta]])
-                if ba is None:
-                    ba, bb = xa % self.ma, xb % self.mb
-                else:
-                    ba, bb = (ba + xa) % self.ma, (bb + xb) % self.mb
-            if ba is None:
-                na = np.full(size, sa, dtype=np.int64)
-                nbv = np.full(size, sb, dtype=np.int64) if self.pb != 1 else 0
-            else:
-                na = (ba[pmap] + sa) % self.ma
-                nbv = (bb[pmap] + sb) % self.mb if self.pb != 1 else 0
+                x = ring.mul(ring.mul(cemb, apow[aexp]), bpow_elems[beta])
+                block = x if block is None else ring.add(block, x)
+            if block is not None:
+                acc = ring.add(ring.unpack(ring.pack(block)[pmap]), acc)
             # remaining terms touch the solved coordinate
             for aexp, beta, delta, cemb in xterms:
                 if delta not in spows:
-                    pw = self._pow_ids(sols, delta)
-                    spows[delta] = (self.ca[pw], self.cb[pw])
-                xa, xb = spows[delta]
+                    spows[delta] = ring.unpack(model.power(sols, delta))
+                x = spows[delta]
                 if beta:
-                    pb_ids = bpows[beta][pmap]
-                    xa, xb = self._vmul(self.ca[pb_ids], self.cb[pb_ids],
-                                        xa, xb)
-                ca, cb = self._comps(ring.mul(cemb, apow[aexp]))
-                xa, xb = self._vmul(ca, cb, xa, xb)
-                na = (na + xa) % self.ma
-                nbv = (nbv + xb) % self.mb
-            nid = na * self.pb + (nbv if self.pb != 1 else 0)
+                    x = ring.mul(ring.unpack(bpows[beta][pmap]), x)
+                x = ring.mul(ring.mul(cemb, apow[aexp]), x)
+                acc = ring.add(acc, x)
+            nid = np.broadcast_to(ring.pack(acc), size)
             if self.collect is not None and len(jn_list) == 0 and i0 == 0:
                 # values are pinned mod pi^(precision - w) at the nearby
                 # point, so the deduped representatives cover all residues
                 self.collect.update(np.unique(nid).tolist())
                 self.collect_wmax = max(self.collect_wmax, int(w.max()))
-            vn = self.val[nid]
+            vn = model.val[nid]
             okn_list.append(vn <= limit)
             jn_list.append((vn, self.ulow[nid]))
         acc_bits = np.zeros(size, dtype=np.int64)
@@ -842,13 +768,13 @@ class _VecEngine:
             okd = False
             for d in dens:
                 if d == i0 or d == fa:
-                    dv = 0 if d == i0 else 3 * int(self.val[a_id])
+                    dv = 0 if d == i0 else 3 * int(model.val[a_id])
                     okd = okd | (dv <= limit)
                 elif d == fb:
                     okd = okd | (vdb[pmap] <= limit)
                 else:
                     if vds is None:
-                        vds = self.val[self.cube_ids[sols]]
+                        vds = model.val[model.cube[sols]]
                     okd = okd | (vds <= limit)
                 if isinstance(okd, np.ndarray) and okd.all():
                     break
@@ -862,11 +788,10 @@ class _VecEngine:
         bad = self.popcnt[acc_bits] > 1
         if bad.any():
             i = int(bad.argmax())
-            coords = [None] * 4
-            coords[i0] = ring.one
+            coords = [ring.one] * 4
             coords[fa] = a_elem
-            coords[fb] = self.elems[int(b_pool[pmap[i]])]
-            coords[sj] = self.elems[int(sols[i])]
+            coords[fb] = ring.unpack(int(b_pool[pmap[i]]))
+            coords[sj] = ring.unpack(int(sols[i]))
             raise ChartDisagreement(
                 f"charts disagree at {tuple(coords)} ({self.place})")
         if not anyeval.all():
@@ -940,8 +865,7 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
             f"at precision {precision}")
     out = set()
     for nid in sorted(eng.collect):
-        s, t = eng.elems[nid]
-        value = EisensteinNumber(s + t, 2 * t)
+        value = eng.ring.lift(eng.ring.unpack(nid))
         if valuation(value, place) != 1:
             raise ArithmeticError(
                 f"chart value {value} does not have valuation 1")
@@ -999,17 +923,27 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
     return result
 
 
+def _cube_free(c: int) -> int:
+    """c divided by the largest cube m^3 (m > 0) that divides it."""
+    m = 1
+    for p, e in _prime_factors(abs(c)).items():
+        m *= p ** (e // 3)
+    return c // m ** 3
+
+
 def local_solvability(coeffs: Sequence[int], place: Place,
                       precision: Optional[int] = None,
                       cap: Optional[int] = None) -> bool:
     """Whether the surface has points over k_v.
 
-    A certified class proves yes immediately.  No raw residue classes at
-    all proves no, since classes at higher precision refine lower ones.
-    Raw classes that never certify escalate precision and eventually
-    raise NoStabilization; a cap cuts the escalation short the same way.
+    Each coefficient is first divided by the largest cube dividing it
+    (x_i -> x_i/m is an isomorphism over Q).  A certified class proves yes
+    immediately.  No raw residue classes at all proves no, since classes at
+    higher precision refine lower ones.  Raw classes that never certify
+    escalate precision and eventually raise NoStabilization; a cap cuts the
+    escalation short the same way.
     """
-    cs = _validate_coeffs(coeffs)
+    cs = tuple(_cube_free(c) for c in _validate_coeffs(coeffs))
     if place not in set(bad_places(cs)):
         return True
     n = default_precision(place) if precision is None else precision
@@ -1019,8 +953,8 @@ def local_solvability(coeffs: Sequence[int], place: Place,
         if cap is not None and n > cap:
             break
         raw = False
-        for coords, idx, w, ok in _scan(cs, place, n):
-            if ok:
+        for bt in _batches(_local_model(cs, place, n)):
+            if (2 * bt.w < n).any():
                 return True
             raw = True
         if not raw:

@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import product
 
 from . import __version__
@@ -330,28 +331,21 @@ def cmd_scan(args, cap) -> int:
     agree = 0
     histogram: dict[str, int] = {}
     disagreements: list[dict] = []
-    if args.jobs > 1:
-        step = max(1, len(tuples) // (args.jobs * 8))
-        chunks = [tuples[i:i + step] for i in range(0, len(tuples), step)]
-        done = 0
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part_agree, part_hist, part_bad in pool.map(_scan_chunk, chunks):
-                agree += part_agree
-                for key, count in part_hist.items():
-                    histogram[key] = histogram.get(key, 0) + count
-                disagreements.extend(part_bad)
-                done += 1
-                print(f"scan: {min(done * step, len(tuples))}/{len(tuples)} tuples",
-                      file=sys.stderr)
-    else:
-        for i, coeffs in enumerate(tuples, 1):
-            part_agree, part_hist, part_bad = _scan_chunk([coeffs])
+    step = max(1, len(tuples) // (max(args.jobs, 1) * 8))
+    chunks = [tuples[i:i + step] for i in range(0, len(tuples), step)]
+    with ExitStack() as stack:
+        mapper = map
+        if args.jobs > 1:
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=args.jobs)).map
+        for done, (part_agree, part_hist, part_bad) in enumerate(
+                mapper(_scan_chunk, chunks), 1):
             agree += part_agree
             for key, count in part_hist.items():
                 histogram[key] = histogram.get(key, 0) + count
             disagreements.extend(part_bad)
-            if i % 256 == 0 or i == len(tuples):
-                print(f"scan: {i}/{len(tuples)} tuples", file=sys.stderr)
+            print(f"scan: {min(done * step, len(tuples))}/{len(tuples)} tuples",
+                  file=sys.stderr)
     disagreements.sort(key=lambda row: row["coefficients"])
     result = {"range": [lo, hi], "tuples": len(tuples), "agree": agree,
               "histogram": histogram, "disagreements": disagreements}

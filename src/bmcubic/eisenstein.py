@@ -335,7 +335,10 @@ def _integral_valuation(a: int, b: int, place: Place) -> int:
 # --- residue rings -----------------------------------------------------------
 
 class _RingBase:
-    """Common interface: elements are ints (split) or int pairs."""
+    """Common interface: elements are ints (split) or int pairs, numbered
+    0..size-1 by pack in the order of elements().  The arithmetic, pack,
+    unpack, reduce_to and unit_part also act elementwise on integer arrays.
+    """
 
     place: Place
     precision: int
@@ -377,7 +380,7 @@ class _SplitRing(_RingBase):
     def __init__(self, place: Place, precision: int):
         self.place = place
         self.precision = precision
-        self.modulus = place.p ** precision
+        self.modulus = self.size = place.p ** precision
         p = place.p
         pa, pb = int(place.pi.x), int(place.pi.y)
         root = None
@@ -442,6 +445,12 @@ class _SplitRing(_RingBase):
     def pack(self, e) -> int:
         return e
 
+    def unpack(self, k):
+        return k
+
+    def lift(self, e) -> EisensteinNumber:
+        return EisensteinNumber(e)
+
 
 class _InertRing(_RingBase):
     """o_v/pi^N for an inert place: pairs (a, b) mod p^N meaning a + b*zeta."""
@@ -450,6 +459,7 @@ class _InertRing(_RingBase):
         self.place = place
         self.precision = precision
         self.modulus = place.p ** precision
+        self.size = self.modulus ** 2
         self.one = (1 % self.modulus, 0)
         self.zero = (0, 0)
         self.zeta = (0, 1 % self.modulus)
@@ -503,6 +513,12 @@ class _InertRing(_RingBase):
     def pack(self, e) -> int:
         return e[0] * self.modulus + e[1]
 
+    def unpack(self, k):
+        return (k // self.modulus, k % self.modulus)
+
+    def lift(self, e) -> EisensteinNumber:
+        return EisensteinNumber(e[0], e[1])
+
 
 class _RamifiedRing(_RingBase):
     """o_v/pi^N at the place over 3: pairs (s, t) meaning s + t*pi.
@@ -518,6 +534,7 @@ class _RamifiedRing(_RingBase):
         self.sb = precision // 2
         self.ms = 3 ** self.sa
         self.mt = 3 ** self.sb
+        self.size = self.ms * self.mt
         self.one = (1 % self.ms, 0)
         self.zero = (0, 0)
         # zeta = (-1 + pi) / 2
@@ -565,20 +582,17 @@ class _RamifiedRing(_RingBase):
         vt = 1 + 2 * _ord_int(t, 3) if t else self.precision
         return min(vs, vt, self.precision)
 
-    def divide_pi(self, e):
-        """(s + t*pi)/pi = t - (s/3)*pi; result lives at precision - 1."""
-        s, t = e
-        if s % 3:
-            raise ValueError("element is a unit, not divisible by pi")
-        target = residue_ring(self.place, self.precision - 1)
-        return (t % target.ms, (-(s // 3)) % target.mt)
-
     def unit_part(self, e, v: int):
-        cur, ring = e, self
-        for _ in range(v):
-            cur = ring.divide_pi(cur)
-            ring = residue_ring(self.place, ring.precision - 1)
-        return cur
+        """e / pi^v for v <= valuation(e), an element at precision N - v."""
+        # pi^2 = -3 divides both digits by -3; one more pi maps s + t*pi
+        # to t - (s/3)*pi
+        s, t = e
+        sign = -1 if v // 2 % 2 else 1
+        s, t = sign * (s // 3 ** (v // 2)), sign * (t // 3 ** (v // 2))
+        if v % 2:
+            s, t = t, -(s // 3)
+        n = self.precision - v
+        return (s % 3 ** ((n + 1) // 2), t % 3 ** (n // 2))
 
     def reduce_to(self, e, target: "_RamifiedRing"):
         return (e[0] % target.ms, e[1] % target.mt)
@@ -588,6 +602,14 @@ class _RamifiedRing(_RingBase):
 
     def pack(self, e) -> int:
         return e[0] * self.mt + e[1]
+
+    def unpack(self, k):
+        return (k // self.mt, k % self.mt)
+
+    def lift(self, e) -> EisensteinNumber:
+        # s + t*pi with pi = 1 + 2*zeta
+        s, t = e
+        return EisensteinNumber(s + t, 2 * t)
 
 
 @lru_cache(maxsize=None)
@@ -748,14 +770,14 @@ def invariant_table(theta: EisensteinNumber, place: Place) -> Mapping[tuple[int,
                 table[(v, ring.pack(u))] = tame_hilbert_symbol(le, th, place).j
         return MappingProxyType(table)
     n_theta = theta.norm()
-    for s, t in ring.units():
+    for u in ring.units():
         for v in range(3):
-            x = place.pi ** v * EisensteinNumber(s + t, 2 * t)
+            x = place.pi ** v * ring.lift(u)
             n = x.norm() * n_theta
             primes = set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
             tame = sum(tame_hilbert_symbol(localize(x, w, 1), localize(theta, w, 1), w).j
                        for p in primes - {3} for w in places_over(p))
-            table[(v, ring.pack((s, t)))] = -tame % 3
+            table[(v, ring.pack(u))] = -tame % 3
     return MappingProxyType(table)
 
 

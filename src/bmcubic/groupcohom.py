@@ -914,42 +914,6 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
     return CohomologyResult(structure, tuple(gens), tuple(amb_reps))
 
 
-# ------------------------------------------------------------- public dense op
-
-def bar_differential(group: FiniteGroup, module: GIntModule, d: int) -> IntMatrix:
-    """Dense matrix of the normalized bar differential on ambient coordinates."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    rank = module.rank
-    n = group.order
-    dom = _tuples(group, d)
-    cod = _tuples(group, d + 1)
-    dom_idx = {t: i for i, t in enumerate(dom)}
-    rows = [[0] * (rank * len(dom)) for _ in range(rank * len(cod))]
-    for ci, t in enumerate(cod):
-        block = ci * rank
-        a = module.action[t[0]]
-        tail = t[1:]
-        tb = dom_idx[tail] * rank
-        for s in range(rank):
-            for j in range(rank):
-                v = a.at(s, j)
-                if v:
-                    rows[block + s][tb + j] += v
-        sign = -1
-        for k in range(d):
-            m = group.mul(t[k], t[k + 1])
-            if m != 0:
-                mb = dom_idx[t[:k] + (m,) + t[k + 2:]] * rank
-                for s in range(rank):
-                    rows[block + s][mb + s] += sign
-            sign = -sign
-        hb = dom_idx[t[:d]] * rank
-        for s in range(rank):
-            rows[block + s][hb + s] += sign
-    return IntMatrix.from_rows(rows, cols=rank * len(dom))
-
-
 if __name__ == "__main__":
     import doctest
 

@@ -1,13 +1,14 @@
 """Local point scans, invariant evaluation and the per-place verdict layer.
 
-The array engine that powers the attained-set computation is checked
-against the dictionary-walking reference on full small cases and on
-partition slices of the large ones, and certified point classes are
-re-verified with exact arithmetic.
+The point enumerator is checked against a brute-force search over all
+normalized tuples that uses no precomputed table.  The array engine that
+powers the attained-set computation is checked against the scalar
+reference evaluator on full small cases and on partition slices of the
+large ones, and certified point classes are re-verified with exact
+arithmetic.
 """
 
-import doctest
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from bmcubic.eisenstein import (
     EisensteinNumber,
     InvariantValue,
     is_local_cube,
+    residue_ring,
     valuation,
 )
 
@@ -75,11 +77,6 @@ def surface_value(coeffs, coords):
 
 
 # ------------------------------------------------------------------ chart data
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(azumaya_module)
-    assert failures == 0
-
 
 def test_cassels_guy_class_shape():
     assert CLS.order == 3
@@ -156,11 +153,11 @@ def test_enumerate_partition_union():
 
 
 def test_first_unit_normalization():
-    t = azumaya_module._ring_tables(V2, 3)
+    ring = residue_ring(V2, 3)
     for p in islice(enumerate_local_points(CG, V2, 3), 0, None, 37):
-        vals = [t.val[e] for e in p.coords]
+        vals = [ring.valuation(e) for e in p.coords]
         lead = next(i for i, v in enumerate(vals) if v == 0)
-        assert p.coords[lead] == t.ring.one
+        assert p.coords[lead] == ring.one
         assert all(v > 0 for v in vals[:lead])
 
 
@@ -189,6 +186,55 @@ def test_ramified_certificates_hold_in_exact_arithmetic():
         assert w == p.certificate[1] == 2
         seen += 1
     assert seen > 50
+
+
+def _brute_force_points(coeffs, place, n):
+    """Certified classes mod pi^n found by trying every 4-tuple whose first
+    unit coordinate is 1, evaluating F and its partials with the ring's
+    scalar arithmetic (the coefficients must be primitive at the place)."""
+    ring = residue_ring(place, n)
+    elems = list(ring.elements())
+    nonunits = [e for e in elems if ring.valuation(e) > 0]
+    three = ring.embed(EisensteinNumber(3))
+    cs = [ring.embed(EisensteinNumber(c)) for c in coeffs]
+    terms = [{e: ring.mul(c, ring.pow(e, 3)) for e in elems} for c in cs]
+    dvals = [{e: ring.valuation(ring.mul(ring.mul(three, c), ring.mul(e, e)))
+              for e in elems} for c in cs]
+    out = set()
+    for lead in range(4):
+        pools = [nonunits] * lead + [[ring.one]] + [elems] * (3 - lead)
+        for xs in product(*pools):
+            f = ring.zero
+            for term, x in zip(terms, xs):
+                f = ring.add(f, term[x])
+            if f != ring.zero:
+                continue
+            dv = [d[x] for d, x in zip(dvals, xs)]
+            w = min(dv)
+            if n > 2 * w:
+                out.add((xs, (dv.index(w), w)))
+    return out
+
+
+@pytest.mark.parametrize("coeffs, place, n", [
+    (CG, V2, 2), (CG, V3, 3),
+    ((1, 1, 1, 1), V7, 2), ((1, 1, 1, 1), places_over(7)[1], 2),
+    ((1, 2, 7, 14), V7, 2), ((1, 2, 7, 14), places_over(7)[1], 2),
+])
+def test_enumeration_matches_brute_force(coeffs, place, n):
+    assert min(valuation(EisensteinNumber(c), place) for c in coeffs) == 0
+    pts = [(p.coords, p.certificate)
+           for p in enumerate_local_points(coeffs, place, n)]
+    assert len(pts) == len(set(pts))
+    assert set(pts) == _brute_force_points(coeffs, place, n)
+
+
+def test_batch_bound_changes_neither_stream_nor_attained_set(monkeypatch):
+    stream = list(enumerate_local_points(CG, V2, 3))
+    attained = _vec_engine(CG, CLS, V2, 3).run(0, 1)
+    monkeypatch.setattr(azumaya_module, "_BATCH_CLASSES", 5)
+    assert list(enumerate_local_points(CG, V2, 3)) == stream
+    assert _vec_engine(CG, CLS, V2, 3).run(0, 1) == attained
 
 
 # ------------------------------------------------------------------- invariants
@@ -241,19 +287,19 @@ def test_single_denominator_class_can_lack_evaluable_charts():
     att, count, complete = _attained_reference(CG, only_t, V2, 3)
     assert att is None and not complete and count > 0
     deep = next(p for p in enumerate_local_points(CG, V2, 3)
-                if azumaya_module._ring_tables(V2, 3).val[p.coords[3]] > 0)
+                if residue_ring(V2, 3).valuation(p.coords[3]) > 0)
     with pytest.raises(NoEvaluableChart):
         invariant_at_point(only_t, deep)
 
 
 def test_denominator_choice_does_not_change_the_value():
-    t = azumaya_module._ring_tables(V2, 3)
+    ring = residue_ring(V2, 3)
     per_den = [AzumayaClass(
         THETA_CG, tuple(c for c in CLS.charts if c.denominator == d))
         for d in range(4)]
     checked = 0
     for p in islice(enumerate_local_points(CG, V2, 3), 0, None, 97):
-        if any(t.val[e] > 0 for e in p.coords):
+        if any(ring.valuation(e) > 0 for e in p.coords):
             continue
         vals = {invariant_at_point(c, p) for c in per_den}
         assert len(vals) == 1
@@ -389,6 +435,16 @@ def test_verdict_not_locally_solvable():
     assert len(report.place_reports) == 1
     assert report.place_reports[0].place.p == 7
     assert report.sumset == frozenset()
+
+
+def test_cube_factor_does_not_change_the_verdict():
+    # 27 = 3^3 leaves every raw class over 3 uncertified unless the
+    # solvability scan divides it out; x_3 -> x_3/3 maps one surface
+    # onto the other
+    cubed = obstruction_verdict((14, 52, 27, 35))
+    reduced = obstruction_verdict((14, 52, 1, 35))
+    assert cubed.verdict == reduced.verdict == Verdict.NO_OBSTRUCTION_FROM_CLASS
+    assert cubed.h1 == reduced.h1 == "Z/3"
 
 
 def test_verdict_without_classes_reports_h1_only():

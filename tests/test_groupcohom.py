@@ -18,7 +18,6 @@ from bmcubic.groupcohom import (
     ModuleSES,
     action_from_generators,
     apply_differential,
-    bar_differential,
     cohomology,
     connecting_homomorphism,
     cyclic_cohomology,
@@ -96,37 +95,6 @@ def test_subgroup_and_normality():
 
 
 # ------------------------------------------------------------- differentials
-
-def test_bar_differential_degree_zero_formula():
-    g, m = a2_module()
-    d0 = bar_differential(g, m, 0)
-    v = (5, -2)
-    image = d0.apply(v)
-    for gi in (1, 2):
-        expect = tuple(a - b for a, b in zip(m.action[gi].apply(v), v))
-        assert image[2 * (gi - 1):2 * gi] == expect
-
-
-def test_bar_differential_trivial_group():
-    g = cyclic_group(1)
-    m = trivial_module(g, rank=2)
-    d1 = bar_differential(g, m, 1)
-    assert d1.rows == 0 and d1.cols == 0
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2])
-def test_differential_squares_to_zero(degree):
-    modules = [a2_module()[1], trivial_module(Z2, 1, [(2,)]), regular_module(Z3)]
-    for m in modules:
-        g = m.group
-        lo = bar_differential(g, m, degree)
-        hi = bar_differential(g, m, degree + 1)
-        comp = hi @ lo
-        for j in range(comp.cols):
-            col = comp.column(j)
-            for s in range(0, comp.rows, m.rank):
-                assert m.is_zero(col[s:s + m.rank])
-
 
 cochain_coeff = st.integers(min_value=-4, max_value=4)
 
