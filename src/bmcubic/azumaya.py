@@ -450,6 +450,9 @@ class _ClassEvaluator:
         if self.split:
             return
         self.lo = residue_ring(place, self.m_v)
+        # unit parts of values of valuation v live at precision N - v
+        self.unit_rings = tuple(residue_ring(place, precision - v)
+                                for v in range(precision))
         numerators: list[tuple] = []
         self.num_index: dict[tuple, int] = {}
         self.charts = []
@@ -468,8 +471,7 @@ class _ClassEvaluator:
 
     def _unit_mod_m(self, value, v: int):
         u = self.ring.unit_part(value, v)
-        src = residue_ring(self.place, self.precision - v)
-        return src.reduce_to(u, self.lo)
+        return self.unit_rings[v].reduce_to(u, self.lo)
 
     def numerator_values(self, coords) -> list:
         ring = self.ring

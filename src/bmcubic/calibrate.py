@@ -523,8 +523,3 @@ def calibration_identity(f: TowerPolynomial, fprime: TowerPolynomial,
         raise ValueError("calibration sides must have degree 12")
     return normal_form(lhs - rhs, F).is_zero
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -69,10 +69,6 @@ class EisensteinNumber:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     @_binary
     def __add__(self, other: "EisensteinNumber") -> "EisensteinNumber":
         return EisensteinNumber(self.x + other.x, self.y + other.y)
@@ -398,6 +394,9 @@ class _SplitRing(_RingBase):
         self.zeta = w % self.modulus
         self.one = 1 % self.modulus
         self.zero = 0
+        # pi maps to p*c with c a unit; a unit part divides by pi^v = p^v c^v
+        c = (pa + pb * w) % self.modulus // p
+        self._cinv = tuple(pow(c, -v, p ** (precision - v)) for v in range(precision + 1))
 
     def _embed_fraction(self, a: int, b: int, k: int, d: int):
         # (a + b*zeta) / (p^k * d); cancel pi^k into the numerator, leaving
@@ -434,7 +433,9 @@ class _SplitRing(_RingBase):
         return min(_ord_int(e, self.place.p), self.precision)
 
     def unit_part(self, e, v: int):
-        return e // self.place.p ** v
+        """e / pi^v for v <= valuation(e), an element at precision N - v."""
+        p = self.place.p
+        return e // p ** v * self._cinv[v] % p ** (self.precision - v)
 
     def reduce_to(self, e, target: "_SplitRing"):
         return e % target.modulus
@@ -802,9 +803,3 @@ def cyclic_invariant(u, theta, place: Place) -> InvariantValue:
     unit = residue_ring(place, u.precision).reduce_to(u.unit, lo)
     table = invariant_table(theta, place)
     return InvariantValue(table[(u.valuation % 3, lo.pack(unit))])
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -5,7 +5,8 @@ is fully deterministic: no floats, no randomized pivoting, no modular
 shortcuts.  The three workhorses are
 
 * :func:`smith_normal_form` -- ``U * M * V = D`` with ``U``, ``V`` unimodular
-  and the diagonal of ``D`` a nonnegative divisibility chain ``d1 | d2 | ...``,
+  and the diagonal of ``D`` a nonnegative divisibility chain ``d1 | d2 | ...``;
+  ``U^-1`` comes with it, built from the inverses of the same row operations,
 * :func:`solve_linear_diophantine` -- a particular integer solution of
   ``M x = b`` together with a basis of the integer kernel,
 * :func:`subquotient_structure` -- the abelian group (kernel lattice)/(image
@@ -21,7 +22,6 @@ row-streaming kernel helper used by the cohomology code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -211,11 +211,13 @@ class AbelianGroupStructure:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular, D diagonal with a divisor chain."""
+    """U * M * V = D with U, V unimodular, D diagonal with a divisor chain;
+    uinv is U^-1."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    uinv: IntMatrix
 
     @property
     def invariants(self) -> tuple[int, ...]:
@@ -268,15 +270,19 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     a = m.to_rows()
     u = IntMatrix.identity(nr).to_rows()
     v = IntMatrix.identity(nc).to_rows()
+    # U^-1 stored by columns: each row operation on U is undone on the right
+    uinv_cols = IntMatrix.identity(nr).to_rows()
 
     def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
+        # row_i -= q * row_j; on U^-1: col_j += q * col_i
         ai, aj = a[i], a[j]
         for t in range(nc):
             ai[t] -= q * aj[t]
         ui, uj = u[i], u[j]
+        ci, cj = uinv_cols[i], uinv_cols[j]
         for t in range(nr):
             ui[t] -= q * uj[t]
+            cj[t] += q * ci[t]
 
     def col_op(i: int, j: int, q: int) -> None:
         # col_i -= q * col_j
@@ -288,6 +294,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        uinv_cols[i], uinv_cols[j] = uinv_cols[j], uinv_cols[i]
 
     def swap_cols(i: int, j: int) -> None:
         for r in a:
@@ -298,6 +305,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        uinv_cols[i] = [-x for x in uinv_cols[i]]
 
     for k in range(min(nr, nc)):
         while True:
@@ -342,7 +350,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             negate_row(k)
     return SmithDecomposition(IntMatrix.from_rows(u, cols=nr),
                               IntMatrix.from_rows(a, cols=nc),
-                              IntMatrix.from_rows(v, cols=nc))
+                              IntMatrix.from_rows(v, cols=nc),
+                              IntMatrix.from_rows(uinv_cols, cols=nr).transpose())
 
 
 class ColumnReduction:
@@ -520,38 +529,6 @@ class LatticeEchelon:
         return all(x == 0 for x in self.reduce(v))
 
 
-def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (Gauss over Q, result integral)."""
-    n = m.rows
-    a = [[Fraction(x) for x in m.row(i)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return IntMatrix.from_rows(out, cols=n)
-
-
 def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
                           image_vectors: Sequence[Sequence[int]],
                           ) -> tuple[AbelianGroupStructure, list[Vector],
@@ -601,8 +578,7 @@ def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
     snf = smith_normal_form(amat)
     r = snf.rank
     invariants = snf.invariants
-    uinv = _inverse_unimodular(snf.u)
-    new_basis = [uinv.column(i) for i in range(s)]  # columns of U^-1, basis adapted to the image
+    new_basis = [snf.uinv.column(i) for i in range(s)]  # basis adapted to the image
 
     def ambient(col: Vector) -> Vector:
         return tuple(sum(kernel_vectors[j][i] * col[j] for j in range(s)) for i in range(dim))
@@ -634,9 +610,3 @@ def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
         return v.apply(w[:t]) if t else ()
 
     return structure, reps, membership
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

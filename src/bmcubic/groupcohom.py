@@ -12,12 +12,15 @@ computation actually consumes: explicit cocycle representatives, coboundary
 solving (degrees one and two, plus normalized degree three), the connecting
 homomorphism of a short exact sequence of modules, invariant submodules with
 the induced quotient-group action, and the two-periodic complex of a cyclic
-group together with the comparison maps into the bar complex.
+group together with the comparison maps into the bar complex.  Both
+resolutions run over one layer of reduced (Smith normal form) coordinates,
+built once per relation lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +34,6 @@ from .exactlin import (
     smith_normal_form,
     solve_linear_diophantine,
     subquotient_structure,
-    _inverse_unimodular,
 )
 
 
@@ -249,9 +251,6 @@ class GIntModule:
                         raise ValueError("action is not multiplicative modulo relations")
         self.relation_lattice = lat
 
-    def reduce_mod_relations(self, v: Sequence[int]) -> Vector:
-        return self.relation_lattice.reduce(v)
-
     def is_zero(self, v: Sequence[int]) -> bool:
         return self.relation_lattice.contains(v)
 
@@ -328,56 +327,85 @@ def is_cocycle(group: FiniteGroup, module: GIntModule, c: Cochain) -> bool:
 
 # ------------------------------------------------- reduced coordinates
 
+@dataclass(frozen=True)
 class _Reduced:
     """Smith-normal-form coordinates for Z^rank/relations.
 
     Slots with invariant factor 1 are dropped; what remains is a list of
-    moduli (0 for free slots) and transfer maps in both directions.
+    moduli (0 for free slots) and the transfer maps in both directions: u
+    holds the rows of U for the kept slots (ambient -> reduced), uinv the
+    matching columns of U^-1 (reduced -> ambient).  Vectors over several
+    blocks of reduced coordinates, as cochains are, carry slot k % n in
+    coordinate k.
     """
 
-    def __init__(self, module: GIntModule):
-        self.module = module
-        rank = module.rank
-        rels = module.relations
-        if not rels:
-            self.u = self.uinv = IntMatrix.identity(rank)
-            self.kept = list(range(rank))
-            self.moduli = (0,) * rank
-        else:
-            rc = IntMatrix.from_rows([[r[i] for r in rels] for i in range(rank)],
-                                     cols=len(rels))
-            snf = smith_normal_form(rc)
-            self.u = snf.u
-            self.uinv = _inverse_unimodular(snf.u)
-            diag = [snf.d.at(i, i) if i < min(rank, len(rels)) else 0 for i in range(rank)]
-            self.kept = [i for i in range(rank) if diag[i] != 1]
-            self.moduli = tuple(diag[i] for i in self.kept)
-        self.n = len(self.kept)
-        self.act = []
-        for a in module.action:
-            full = self.u @ a @ self.uinv
-            self.act.append(tuple(tuple(full.at(i, j) for j in self.kept)
-                                  for i in self.kept))
+    rank: int
+    u: IntMatrix
+    uinv: IntMatrix
+    moduli: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.moduli)
+
+    def conj(self, m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+        """Rows of m in reduced coordinates; m must preserve the relations."""
+        return tuple(map(tuple, (self.u @ m @ self.uinv).to_rows()))
 
     def to_red(self, v: Sequence[int]) -> Vector:
-        y = self.u.apply(v)
-        return self.norm(tuple(y[i] for i in self.kept))
+        return tuple(x % m if m else x for x, m in zip(self.u.apply(v), self.moduli))
 
     def to_amb(self, red: Sequence[int]) -> Vector:
-        out = [0] * self.module.rank
-        for j, x in enumerate(red):
-            if x:
-                col = self.uinv.column(self.kept[j])
-                for i in range(self.module.rank):
-                    out[i] += x * col[i]
-        return tuple(out)
+        return self.uinv.apply(red)
 
-    def norm(self, red: Sequence[int]) -> Vector:
-        return tuple(x % m if m else x for x, m in zip(red, self.moduli))
+    def kernel(self, rows: Iterable[dict[int, int]], ncols: int) -> list[Vector]:
+        """Basis of the integer c with row_k . c = 0 mod moduli[k % n], the
+        rows sparse; each torsion equation gets an auxiliary column."""
+        rows = list(rows)
+        n = self.n
+        aux = [k for k in range(len(rows)) if self.moduli[k % n]]
+        cr = ColumnReduction(ncols + len(aux))
+        for col, k in enumerate(aux, ncols):
+            rows[k] = {**rows[k], col: self.moduli[k % n]}
+        for row in rows:
+            cr.feed(row)
+        ker = cr.kernel()
+        if not aux:
+            return ker
+        lat = LatticeEchelon([v[:ncols] for v in ker], ncols)
+        return [tuple(v) for v in lat.pivot_cols.values()]
 
-    def act_apply(self, g: int, red: Sequence[int]) -> Vector:
-        rows = self.act[g]
-        return self.norm(tuple(sum(r[j] * red[j] for j in range(self.n)) for r in rows))
+    def torsion_columns(self, ncols: int) -> list[Vector]:
+        """The vectors moduli[k % n] * e_k: zero in the quotient."""
+        n = self.n
+        return [tuple(self.moduli[k % n] if i == k else 0 for i in range(ncols))
+                for k in range(ncols) if self.moduli[k % n]]
+
+    def cochains(self, group: FiniteGroup, d: int,
+                 vectors: Iterable[Sequence[int]]) -> tuple[Cochain, ...]:
+        """Normalized d-cochains with ambient values from block vectors."""
+        n = self.n
+        idx = {t: i for i, t in enumerate(_tuples(group, d))}
+        zero = (0,) * self.rank
+        return tuple(
+            Cochain(d, {t: zero if 0 in t else self.to_amb(vec[idx[t] * n:idx[t] * n + n])
+                        for t in product(range(group.order), repeat=d)})
+            for vec in vectors)
+
+
+@lru_cache(maxsize=64)
+def _reduced(rank: int, relations: tuple[Vector, ...]) -> _Reduced:
+    if not relations:
+        ident = IntMatrix.identity(rank)
+        return _Reduced(rank, ident, ident, (0,) * rank)
+    snf = smith_normal_form(IntMatrix.from_rows(
+        [[r[i] for r in relations] for i in range(rank)], cols=len(relations)))
+    diag = [snf.d.at(i, i) if i < min(rank, len(relations)) else 0 for i in range(rank)]
+    kept = [i for i in range(rank) if diag[i] != 1]
+    u = IntMatrix.from_rows([snf.u.row(i) for i in kept], cols=rank)
+    uinv = IntMatrix.from_rows([[snf.uinv.at(i, j) for j in kept] for i in range(rank)],
+                               cols=len(kept))
+    return _Reduced(rank, u, uinv, tuple(diag[i] for i in kept))
 
 
 def _tuples(group: FiniteGroup, d: int) -> list[tuple[int, ...]]:
@@ -387,9 +415,10 @@ def _tuples(group: FiniteGroup, d: int) -> list[tuple[int, ...]]:
 class _BarComplex:
     """Sparse normalized bar differentials over reduced coordinates."""
 
-    def __init__(self, group: FiniteGroup, red: _Reduced):
+    def __init__(self, group: FiniteGroup, module: GIntModule):
         self.group = group
-        self.red = red
+        self.red = _reduced(module.rank, module.relations)
+        self.act = [self.red.conj(a) for a in module.action]
 
     def dim(self, d: int) -> int:
         return self.red.n * (self.group.order - 1) ** d
@@ -399,14 +428,10 @@ class _BarComplex:
         return tup, {t: i for i, t in enumerate(tup)}
 
     def rows(self, d: int):
-        """Equation rows of the differential C^d -> C^{d+1}, sparse.
-
-        Yields (row, modulus) pairs: the equation is 'row . c = 0 mod modulus'
-        (modulus 0 means exact).
-        """
+        """Equation rows of the differential C^d -> C^{d+1}, sparse; row k
+        holds modulo moduli[k % n] (see `_Reduced.kernel`)."""
         g = self.group
-        red = self.red
-        n = red.n
+        n = self.red.n
         dom, dom_idx = self._index(d)
         for t in _tuples(g, d + 1):
             base_terms: list[tuple[int, int]] = []  # (tuple block, sign)
@@ -419,7 +444,7 @@ class _BarComplex:
                 sign = -sign
             tail_block = dom_idx[t[1:]] * n if d else 0
             head_block = dom_idx[t[:d]] * n if d else 0
-            act = red.act[t[0]]
+            act = self.act[t[0]]
             for s in range(n):
                 row: dict[int, int] = {}
                 arow = act[s]
@@ -430,41 +455,21 @@ class _BarComplex:
                 for block, sg in base_terms:
                     row[block + s] = row.get(block + s, 0) + sg
                 row[head_block + s] = row.get(head_block + s, 0) + sign
-                row = {k: v for k, v in row.items() if v}
-                yield row, red.moduli[s]
-
-    def kernel_basis(self, d: int) -> list[Vector]:
-        """Basis of the lattice of d-cocycles (reduced coordinates)."""
-        nc = self.dim(d)
-        rows = list(self.rows(d))
-        aux = [i for i, (_, m) in enumerate(rows) if m]
-        aux_col = {i: nc + k for k, i in enumerate(aux)}
-        cr = ColumnReduction(nc + len(aux))
-        for i, (row, m) in enumerate(rows):
-            if m:
-                row = dict(row)
-                row[aux_col[i]] = m
-            cr.feed(row)
-        ker = cr.kernel()
-        if not aux:
-            return [v for v in ker]
-        lat = LatticeEchelon([v[:nc] for v in ker], nc)
-        return [tuple(v) for v in lat.pivot_cols.values()]
+                yield {k: v for k, v in row.items() if v}
 
     def image_columns(self, d: int) -> list[Vector]:
         """Images of the basis cochains of C^{d-1} under the differential."""
         if d == 0:
             return []
         g = self.group
-        red = self.red
-        n = red.n
+        n = self.red.n
         dom = _tuples(g, d - 1)
         cod, cod_idx = self._index(d)
         cols = [[0] * (n * len(cod)) for _ in range(n * len(dom))]
         dom_idx = {t: i for i, t in enumerate(dom)}
         for t in cod:
             block = cod_idx[t] * n
-            act = red.act[t[0]]
+            act = self.act[t[0]]
             tail = t[1:]
             if tail in dom_idx:
                 tb = dom_idx[tail] * n
@@ -489,46 +494,12 @@ class _BarComplex:
                     cols[hb + s][block + s] += sign
         return [tuple(c) for c in cols]
 
-    def lattice_columns(self, d: int) -> list[Vector]:
-        """Generators of the torsion relations inside C^d coordinates."""
-        n = self.red.n
-        total = self.dim(d)
-        out = []
-        for i in range(total):
-            m = self.red.moduli[i % n]
-            if m:
-                v = [0] * total
-                v[i] = m
-                out.append(tuple(v))
-        return out
-
 
 @dataclass(frozen=True)
 class CohomologyResult:
     structure: AbelianGroupStructure
     generators: tuple[Cochain, ...]
     periodic_vectors: Optional[tuple[Vector, ...]] = None
-
-
-def _result_cochains(group: FiniteGroup, red: _Reduced, d: int,
-                     reps: list[Vector]) -> tuple[Cochain, ...]:
-    n = red.n
-    tup = _tuples(group, d)
-    idx = {t: i for i, t in enumerate(tup)}
-    zero = (0,) * red.module.rank
-    out = []
-    for rep in reps:
-        vals = {}
-        for t in product(range(group.order), repeat=d):
-            if d == 0:
-                vals[t] = red.to_amb(rep)
-            elif 0 in t:
-                vals[t] = zero
-            else:
-                block = idx[t] * n
-                vals[t] = red.to_amb(rep[block:block + n])
-        out.append(Cochain(d, vals))
-    return tuple(out)
 
 
 def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResult:
@@ -541,40 +512,15 @@ def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResu
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    red = _Reduced(module)
-    bar = _BarComplex(group, red)
+    bar = _BarComplex(group, module)
+    red = bar.red
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), ())
-    if i == 0:
-        n = red.n
-        aux_rows = []
-        for g in group.generators:
-            act = red.act[g]
-            for s in range(n):
-                row = {j: act[s][j] for j in range(n) if act[s][j]}
-                row[s] = row.get(s, 0) - 1
-                aux_rows.append(({k: v for k, v in row.items() if v}, red.moduli[s]))
-        aux = [k for k, (_, m) in enumerate(aux_rows) if m]
-        aux_col = {k: n + j for j, k in enumerate(aux)}
-        cr = ColumnReduction(n + len(aux))
-        for k, (row, m) in enumerate(aux_rows):
-            if m:
-                row = dict(row)
-                row[aux_col[k]] = m
-            cr.feed(row)
-        ker = cr.kernel()
-        if aux:
-            lat = LatticeEchelon([v[:n] for v in ker], n)
-            basis = [tuple(v) for v in lat.pivot_cols.values()]
-        else:
-            basis = ker
-        lam = bar.lattice_columns(0)
-        structure, reps, _ = subquotient_structure(basis, lam)
-        return CohomologyResult(structure, _result_cochains(group, red, 0, reps))
-    kernel = bar.kernel_basis(i)
-    image = bar.image_columns(i) + bar.lattice_columns(i)
+    ncols = bar.dim(i)
+    kernel = red.kernel(bar.rows(i), ncols)
+    image = bar.image_columns(i) + red.torsion_columns(ncols)
     structure, reps, _ = subquotient_structure(kernel, image)
-    return CohomologyResult(structure, _result_cochains(group, red, i, reps))
+    return CohomologyResult(structure, red.cochains(group, i, reps))
 
 
 # ------------------------------------------------------------- coboundaries
@@ -592,51 +538,33 @@ def is_coboundary(group: FiniteGroup, module: GIntModule,
     d = c.degree
     if d < 1 or d > 3:
         raise ValueError("coboundary solving is supported in degrees 1..3")
-    red = _Reduced(module)
-    n = red.n
-    ng = group.order
-    if n == 0:
+    bar = _BarComplex(group, module)
+    red = bar.red
+    if red.n == 0:
         return zero_cochain(group, module.rank, d - 1)
 
     base = None
     work = c
     if d == 2:
         b0v = c.value((0, 0))
-        base = Cochain(1, {(g,): b0v for g in range(ng)})
+        base = Cochain(1, {(g,): b0v for g in range(group.order)})
         work = c - apply_differential(group, module, base)
     if d == 3:
         for t, v in c.values.items():
             if 0 in t and not module.is_zero(v):
                 raise ValueError("degree-3 inputs must be normalized")
 
-    bar = _BarComplex(group, red)
-    dom = _tuples(group, d - 1)
-    cod = _tuples(group, d)
-    dom_n = n * len(dom)
     cols = bar.image_columns(d)
-    lam = bar.lattice_columns(d)
+    lam = red.torsion_columns(bar.dim(d))
     rhs = []
-    for t in cod:
+    for t in _tuples(group, d):
         rhs.extend(red.to_red(work.value(t)))
-    width = dom_n + len(lam)
-    rows = []
-    for k in range(len(rhs)):
-        row = [col[k] for col in cols] + [l[k] for l in lam]
-        rows.append(row)
-    sol = solve_linear_diophantine(IntMatrix.from_rows(rows, cols=width), rhs)
+    rows = [[col[k] for col in cols] + [l[k] for l in lam] for k in range(len(rhs))]
+    sol = solve_linear_diophantine(
+        IntMatrix.from_rows(rows, cols=len(cols) + len(lam)), rhs)
     if sol is None:
         return None
-    coeffs = sol[0][:dom_n]
-    zero = (0,) * module.rank
-    vals = {}
-    dom_idx = {t: i for i, t in enumerate(dom)}
-    for t in product(range(ng), repeat=d - 1):
-        if 0 in t:
-            vals[t] = zero
-        else:
-            block = dom_idx[t] * n
-            vals[t] = red.to_amb(coeffs[block:block + n])
-    b = Cochain(d - 1, vals)
+    (b,) = red.cochains(group, d - 1, [sol[0][:len(cols)]])
     if base is not None:
         b = b + base
     return b
@@ -830,59 +758,15 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
     if i < 0:
         raise ValueError("degree must be nonnegative")
 
-    group = cyclic_group(n)
-    # reuse the module's relation data; the reduced coordinates only depend on it
-    red = _Reduced(GIntModule(cyclic_group(1), rank, module.relations,
-                              [IntMatrix.identity(rank)]))
+    red = _reduced(rank, module.relations)
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
-
-    def red_matrix(m: IntMatrix):
-        full = red.u @ m @ red.uinv
-        return [[full.at(a, b) for b in red.kept] for a in red.kept]
-
-    def kernel_of(mat) -> list[Vector]:
-        nred = red.n
-        rows = []
-        for s in range(nred):
-            row = {j: mat[s][j] for j in range(nred) if mat[s][j]}
-            rows.append((row, red.moduli[s]))
-        aux = [k for k, (_, m) in enumerate(rows) if m]
-        aux_col = {k: nred + jj for jj, k in enumerate(aux)}
-        cr = ColumnReduction(nred + len(aux))
-        for k, (row, m) in enumerate(rows):
-            if m:
-                row = dict(row)
-                row[aux_col[k]] = m
-            cr.feed(row)
-        ker = cr.kernel()
-        if not aux:
-            return ker
-        l = LatticeEchelon([v[:nred] for v in ker], nred)
-        return [tuple(v) for v in l.pivot_cols.values()]
-
-    def image_of(mat) -> list[Vector]:
-        nred = red.n
-        return [tuple(mat[s][j] for s in range(nred)) for j in range(nred)]
-
-    def torsion_cols() -> list[Vector]:
-        out = []
-        for s, m in enumerate(red.moduli):
-            if m:
-                v = [0] * red.n
-                v[s] = m
-                out.append(tuple(v))
-        return out
-
-    rd = red_matrix(delta)
-    rn = red_matrix(norm_m)
-    if i == 0:
-        kernel, image = kernel_of(rd), []
-    elif i % 2 == 1:
-        kernel, image = kernel_of(rn), image_of(rd)
-    else:
-        kernel, image = kernel_of(rd), image_of(rn)
-    structure, reps, _ = subquotient_structure(kernel, image + torsion_cols())
+    # H^0 = ker(tau - 1); odd i: ker(N)/im(tau - 1); even i > 0: ker(tau - 1)/im(N)
+    rd, rn = red.conj(delta), red.conj(norm_m)
+    kmat, imat = (rn, rd) if i % 2 else (rd, rn)
+    kernel = red.kernel(({j: x for j, x in enumerate(r) if x} for r in kmat), red.n)
+    image = [tuple(r[j] for r in imat) for j in range(red.n)] if i else []
+    structure, reps, _ = subquotient_structure(kernel, image + red.torsion_columns(red.n))
     amb_reps = [red.to_amb(r) for r in reps]
 
     def sigma(a: int, v: Vector) -> Vector:
@@ -912,9 +796,3 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
         else:
             raise ValueError("bar representatives are provided for degrees 0..3")
     return CohomologyResult(structure, tuple(gens), tuple(amb_reps))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

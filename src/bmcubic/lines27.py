@@ -43,8 +43,7 @@ from typing import Optional, Sequence
 
 from .calibrate import TowerElement, TowerField, cube_class_vector
 from .eisenstein import ONE, ZETA, EisensteinNumber
-from .exactlin import (AbelianGroupStructure, IntMatrix, integer_kernel,
-                       smith_normal_form)
+from .exactlin import AbelianGroupStructure, IntMatrix, integer_kernel
 from .groupcohom import (CohomologyResult, FiniteGroup, GIntModule,
                          cohomology)
 
@@ -118,11 +117,13 @@ def line_forms(tower: TowerField, label: LineLabel) -> tuple[
 
 @dataclass(frozen=True)
 class LineConfiguration:
-    """Incidence and intersection data shared by every diagonal cubic."""
+    """Incidence and intersection data shared by every diagonal cubic;
+    relations is a basis of the kernel of the Gram matrix."""
 
     labels: tuple[LineLabel, ...]
     incidence: IntMatrix
     gram: IntMatrix
+    relations: tuple[tuple[int, ...], ...]
 
     def neighbors(self, label: LineLabel) -> tuple[LineLabel, ...]:
         i = LABEL_INDEX[label]
@@ -137,7 +138,9 @@ def line_configuration() -> LineConfiguration:
     gram = IntMatrix.from_rows(
         [[inc.at(i, j) - (1 if i == j else 0) for j in range(27)]
          for i in range(27)])
-    return LineConfiguration(LABELS, inc, gram)
+    rels = integer_kernel(({j: x for j, x in enumerate(gram.row(i)) if x}
+                           for i in range(27)), 27)
+    return LineConfiguration(LABELS, inc, gram, tuple(rels))
 
 
 def _validate_coeffs(coeffs: Sequence[int]) -> Coeffs:
@@ -232,9 +235,6 @@ class GaloisData:
     group: FiniteGroup
     permutations: tuple[tuple[int, ...], ...]
 
-    def permutation_of(self, g: int) -> tuple[int, ...]:
-        return self.permutations[g]
-
 
 def galois_data(coeffs: Sequence[int]) -> GaloisData:
     """Realized subgroup of (Z/3)^3 for a coefficient tuple, with its action.
@@ -276,12 +276,16 @@ class PicardPresentation:
     hyperplane: tuple[int, ...]
 
 
-def _permutation_matrix(perm: Sequence[int]) -> IntMatrix:
-    n = len(perm)
-    rows = [[0] * n for _ in range(n)]
-    for i, pi in enumerate(perm):
-        rows[pi][i] = 1
-    return IntMatrix.from_rows(rows)
+def _picard_module(group: FiniteGroup,
+                   perms: Sequence[Sequence[int]]) -> GIntModule:
+    """Z^27 modulo the Gram kernel, the lines permuted by `perms`."""
+    action = []
+    for perm in perms:
+        rows = [[0] * 27 for _ in range(27)]
+        for i, pi in enumerate(perm):
+            rows[pi][i] = 1
+        action.append(IntMatrix.from_rows(rows))
+    return GIntModule(group, 27, line_configuration().relations, action)
 
 
 def picard_presentation(galois: GaloisData) -> PicardPresentation:
@@ -290,26 +294,15 @@ def picard_presentation(galois: GaloisData) -> PicardPresentation:
     The hyperplane class is the sum of three coplanar lines P1(0,*); it is
     fixed by the whole group modulo the relations.
     """
-    config = line_configuration()
-    rows = ({j: config.gram.at(i, j) for j in range(27) if config.gram.at(i, j)}
-            for i in range(27))
-    rels = integer_kernel(rows, 27)
-    action = [_permutation_matrix(p) for p in galois.permutations]
-    module = GIntModule(galois.group, 27, rels, action)
+    module = _picard_module(galois.group, galois.permutations)
     hyper = tuple(1 if i < 3 else 0 for i in range(27))
-    return PicardPresentation(galois, tuple(rels), module, hyper)
+    return PicardPresentation(galois, module.relations, module, hyper)
 
 
 @lru_cache(maxsize=None)
 def _h1_for_subgroup(elements: tuple[Triple, ...]) -> CohomologyResult:
     group, perms = _group_from_triples(elements)
-    config = line_configuration()
-    rows = ({j: config.gram.at(i, j) for j in range(27) if config.gram.at(i, j)}
-            for i in range(27))
-    rels = integer_kernel(rows, 27)
-    action = [_permutation_matrix(p) for p in perms]
-    module = GIntModule(group, 27, rels, action)
-    return cohomology(group, module, 1)
+    return cohomology(group, _picard_module(group, perms), 1)
 
 
 def h1_picard(coeffs: Sequence[int]) -> CohomologyResult:

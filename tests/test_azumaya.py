@@ -45,6 +45,7 @@ from bmcubic.azumaya import (
 from bmcubic.eisenstein import (
     EisensteinNumber,
     InvariantValue,
+    cyclic_invariant,
     is_local_cube,
     residue_ring,
     valuation,
@@ -305,6 +306,33 @@ def test_denominator_choice_does_not_change_the_value():
         assert len(vals) == 1
         checked += 1
     assert checked > 10
+
+
+def test_one_chart_class_with_theta_seven_at_split_places():
+    # On x^3 + y^3 + 2z^3 + 7t^3 = 0, x and y are units at every point
+    # over 7, so the chart 7y/x is evaluable everywhere mod pi^2 and its
+    # value has valuation 1: with v(theta) = 1 the invariant depends on the
+    # unit of the value / pi, which both evaluators read through unit_part.
+    # One chart cannot disagree with itself, so no real Brauer class is
+    # needed.  Each slice holds one value of a leading free coordinate.
+    seven = EisensteinNumber(7)
+    chart = AzumayaChart(seven, (((2, 1, 0, 0), seven),), 0, EisensteinNumber(1))
+    cls = AzumayaClass(seven, (chart,))
+    coeffs = (1, 1, 2, 7)
+    for place in places_over(7):
+        engine = _vec_engine(coeffs, cls, place, 2)
+        for k in range(7):
+            expected = set()
+            count = 0
+            for pt in enumerate_local_points(coeffs, place, 2, (k, 7)):
+                x = pt.coordinates_exact()
+                value = chart.constant * evaluate_terms(dict(chart.numerator), x) \
+                    / x[chart.denominator] ** 3
+                inv = cyclic_invariant(value, seven, place)
+                assert invariant_at_point(cls, pt) == inv
+                expected.add(inv.j)
+                count += 1
+            assert engine.run(k, 7) == (tuple(sorted(expected)), count, True)
 
 
 def test_scaling_by_a_cube_preserves_the_class():

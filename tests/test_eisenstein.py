@@ -21,11 +21,13 @@ from bmcubic.eisenstein import (
     _prime_factors,
     cyclic_invariant,
     factor_rational_prime,
+    invariant_table,
     is_local_cube,
     localize,
     places_over,
     residue_ring,
     tame_hilbert_symbol,
+    unit_resolution,
     valuation,
 )
 
@@ -337,6 +339,27 @@ def test_invariant_of_theta_squared_is_negated(u, theta):
 def test_invariant_ignores_cube_factor_of_theta(u, theta, c):
     for w in _places_dividing(u.norm() * theta.norm() * c.norm()):
         assert cyclic_invariant(u, theta * c ** 3, w) == cyclic_invariant(u, theta, w)
+
+
+SMALL_PLACES = tuple(w for p in (2, 3, 5, 7, 13) for w in places_over(p))
+
+
+@given(st.sampled_from(SMALL_PLACES), st.integers(0, 4), st.integers(0, 4),
+       eis_nonzero(), eis_nonzero())
+@settings(max_examples=60)
+def test_unit_part_reads_the_invariant_table(place, a, b, x0, t0):
+    # the engines read a residue e of valuation v through unit_part(e, v);
+    # that must be the unit of e / pi^v that invariant_table is indexed by,
+    # also when v(theta) is not divisible by 3 and the unit matters
+    x, theta = x0 * place.pi ** a, t0 * place.pi ** b
+    m = unit_resolution(place)
+    v = valuation(x, place)
+    ring = residue_ring(place, v + m)
+    e = ring.embed(x)
+    assert ring.valuation(e) == v
+    unit = ring.unit_part(e, v)  # an element mod pi^m
+    j = invariant_table(theta, place)[(v % 3, residue_ring(place, m).pack(unit))]
+    assert InvariantValue(j) == cyclic_invariant(x, theta, place)
 
 
 def test_invariant_value_arithmetic():

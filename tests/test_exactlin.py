@@ -124,6 +124,7 @@ def test_snf_reconstruction(m):
     assert s.u.is_unimodular()
     assert s.v.is_unimodular()
     assert (s.u @ m @ s.v) == s.d
+    assert s.uinv @ s.u == IntMatrix.identity(m.rows)
     # D diagonal, nonnegative, divisor chain
     for i in range(s.d.rows):
         for j in range(s.d.cols):
