@@ -13,8 +13,8 @@ functions define the same algebra class wherever both are defined.
 
 The rest of the module evaluates such classes at local points.  Local points
 are enumerated as residue classes modulo pi^N that carry a Hensel certificate
-(the equation vanishes to order N, some partial derivative has valuation w
-with N > 2w, so an actual k_v-point lies within pi^(N-w) of the class).
+(the equation vanishes to order N, the least partial derivative valuation w
+has N > 2w, so an actual k_v-point lies within pi^(N-w) of the class).
 Each certified class gets an invariant in (1/3)Z/Z by writing a chart value
 as pi^v * unit and looking its class up in `eisenstein.invariant_table`.
 A chart counts as evaluable only when its numerator and denominator
@@ -22,7 +22,18 @@ valuations are at most N - w - m_v (m_v the unit resolution of
 the place): that pins the unit mod pi^m_v at the certified nearby point, not
 just across the residue class, so all evaluable charts must agree.  Charts
 shallower than that bound can see only class-level garbage; they are skipped
-rather than trusted.  Per-place invariant sets are
+rather than trusted.
+
+The evaluation is locally constant with modulus pi^(N-w) (Cassels, *Local
+Fields*), so the attained sets are computed on Hensel balls, not classes:
+for each certificate stratum w the engine walks the balls mod pi^(N-w)
+whose representative has least partial valuation exactly w.  Each ball
+is evaluated once and stands for the q^(3w) certified classes it holds (q
+the size of the residue field); over 3 at N = 7 that is 59,049 balls for
+3^16 classes.  The point listing, the solvability test and the scalar
+reference evaluator keep the walk over classes, which is the oracle.
+
+Per-place invariant sets are
 accepted only when enumeration at precision N and N+2 attains the same set,
 replacing effective precision bounds with a stability contract.  The final
 verdict compares the Minkowski sum of the per-place sets against 0.
@@ -260,17 +271,25 @@ class _LocalModel:
     packed element id.
 
     Any common pi-power of the coefficients is removed first.  The model
-    holds the valuation, square and cube of every residue, term[i] = c_i*x^3,
-    dval[i] = v(3*c_i*x^2) (the i-th partial at a point with x_i = x), and
-    for the two coordinates the scan solves for, CSR root tables of
-    x -> c_j*x^3: roots[j] = (counts, offsets, order) with order listing
-    ids sorted by the value, so the fiber over a value is a slice.  Every
-    entry comes from the residue ring's own arithmetic applied to arrays.
+    holds the valuation, square and cube of every residue, term[i] = c_i*x^3
+    and dval[i] = v(3*c_i*x^2) (the i-th partial at a point with x_i = x).
+    Every entry comes from the residue ring's own arithmetic applied to
+    arrays.  `stratum(w)` adds the pools and root tables of one walk.
+
+    The certificate strata are the w with 2w < N from the least partial
+    valuation any coordinate reaches (v(3) = 2 over 3, so there the strata
+    w = 0, 1 are empty and never walked).  A stratum-w class is determined
+    by its ball mod pi^(N - w): on the ball, every c_i*x_i^3 mod pi^N and
+    the least partial valuation are constant, and the ball holds q^(3w)
+    classes of three coordinates, q the size of the residue field.
     """
 
     def __init__(self, coeffs: Coeffs, place: Place, precision: int):
         ring = residue_ring(place, precision)
         self.ring = ring
+        self.place = place
+        self.precision = precision
+        self.q = residue_ring(place, 1).size
         self.ids = np.arange(ring.size, dtype=np.int64)
         x = ring.unpack(self.ids)
         # v(x) >= k exactly when x vanishes mod pi^k
@@ -278,7 +297,6 @@ class _LocalModel:
         for k in range(1, precision + 1):
             low = residue_ring(place, k)
             self.val += low.pack(ring.reduce_to(x, low)) == 0
-        self.nonunits = self.ids[self.val > 0]
         self.one = ring.pack(ring.one)
         sq = ring.mul(x, x)
         cube = ring.mul(sq, x)
@@ -290,18 +308,65 @@ class _LocalModel:
         self.term = tuple(ring.pack(ring.mul(c, cube)) for c in embedded)
         self.dval = tuple(self.val[ring.pack(ring.mul(ring.mul(three, c), sq))]
                           for c in embedded)
-        self.roots = {}
-        for j in (2, 3):
-            counts = np.bincount(self.term[j], minlength=ring.size)
-            offs = np.zeros(ring.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=offs[1:])
-            self.roots[j] = (counts, offs,
-                             np.argsort(self.term[j], kind="stable"))
+        self.strata = range(min(int(d.min()) for d in self.dval),
+                            (precision + 1) // 2)
+        self._strata: dict = {}
+        self._keys = None
 
     def power(self, ids, e: int):
         if e == 1:
             return ids
         return (self.sq if e == 2 else self.cube)[ids]
+
+    def reduced(self, r: int) -> np.ndarray:
+        """Per id, the id of its representative mod pi^r: the element whose
+        digits are its own reduced mod pi^r."""
+        ring = self.ring
+        return ring.pack(ring.reduce_to(ring.unpack(self.ids),
+                                        residue_ring(self.place, r)))
+
+    def stratum(self, w: Optional[int]):
+        """The pools and root tables of one walk, built once.
+
+        w = None is the class walk: every id.  Otherwise the walk runs over
+        the representatives mod pi^(N - w) whose partial valuation is at
+        least w.  pools[i] = (pool, its nonunits) for coordinate i; for the
+        two coordinates the walk solves for, roots[j] = (counts, offsets,
+        order) is a CSR table of x -> c_j*x^3 on pools[j], order listing
+        the pool sorted by the value, so the fiber over a value is a slice.
+        """
+        got = self._strata.get(w)
+        if got is None:
+            if w is None:
+                pools = [(self.ids, self.ids[self.val > 0])] * 4
+            else:
+                reps = self.ids[self.reduced(self.precision - w) == self.ids]
+                pools = []
+                for d in self.dval:
+                    pool = reps[d[reps] >= w]
+                    pools.append((pool, pool[self.val[pool] > 0]))
+            roots = {}
+            for j in (2, 3):
+                pool = pools[j][0]
+                values = self.term[j][pool]
+                counts = np.bincount(values, minlength=self.ring.size)
+                offs = np.zeros(self.ring.size, dtype=np.int64)
+                np.cumsum(counts[:-1], out=offs[1:])
+                roots[j] = (counts, offs,
+                            pool[np.argsort(values, kind="stable")])
+            got = self._strata[w] = (tuple(pools), roots)
+        return got
+
+    def class_keys(self) -> np.ndarray:
+        """keys[w, a]: the partition key of a class with free value a and
+        certificate w, the id of a reduced mod pi^(N - w), which is its
+        ball's representative (a itself when 2w >= N), so that a slice of
+        classes is exactly the lifts of the same slice of balls."""
+        if self._keys is None:
+            n = self.precision
+            self._keys = np.stack([self.reduced(n - w) if 2 * w < n
+                                   else self.ids for w in range(n + 1)])
+        return self._keys
 
 
 @lru_cache(maxsize=32)
@@ -314,12 +379,12 @@ _BATCH_CLASSES = 1 << 18
 
 @dataclass(frozen=True)
 class _Batch:
-    """The residue classes with F = 0 mod pi^N for one leading coordinate
-    i0 = 1, one value a of the first free coordinate and a run of values
-    of the second.
+    """The residue classes (or balls) with F = 0 mod pi^N for one leading
+    coordinate i0 = 1, one value a of the first free coordinate and a run
+    of values of the second.
 
     roles = (i0, fa, fb, sj) names the leading, the two free and the solved
-    coordinate.  Class k has x_fa = a, x_fb = b_pool[pmap[k]] and
+    coordinate.  Tuple k has x_fa = a, x_fb = b_pool[pmap[k]] and
     x_sj = sol[k] (element ids), and dval[i, k] is the valuation of its
     i-th partial derivative.
     """
@@ -343,28 +408,43 @@ class _Batch:
 
 
 def _batches(model: _LocalModel,
-             partition: Optional[tuple[int, int]] = None) -> Iterator[_Batch]:
+             partition: Optional[tuple[int, int]] = None,
+             stratum: Optional[int] = None) -> Iterator[_Batch]:
     """Every residue class mod pi^N with F = 0 mod pi^N and first unit
-    coordinate 1, in nonempty batches of one (i0, a) and a run of b, in a
-    fixed order.
+    coordinate 1, or with a stratum w every ball of certificate w, in
+    nonempty batches of one (i0, a) and a run of b, in a fixed order.
 
     For each choice of leading coordinate the last remaining coordinate is
     solved by root lookup; the free coordinates run over the full ring, or
-    over nonunits when they precede the leading coordinate.  A partition
-    (k, n) keeps only free values a with pack(a) = k mod n.
+    over nonunits when they precede the leading coordinate.  With a stratum
+    w the three coordinates run over representatives mod pi^(N - w) of
+    partial valuation at least w (`_LocalModel.stratum`), and a tuple is
+    kept only when its least partial valuation is exactly w: it stands for
+    the q^(3w) classes of its ball, all certified with w.  A partition
+    (k, n) keeps the classes whose key (`_LocalModel.class_keys`) is k mod
+    n; for a ball that key is the id of its free value a, so a slice of
+    balls is exactly the lifts of the same slice of classes.
     """
     ring = model.ring
+    pools, roots = model.stratum(stratum)
+    keys = None
+    if partition is not None and stratum is None:
+        keys = model.class_keys() % partition[1] == partition[0]
     for i0 in range(4):
+        dv_one = int(model.dval[i0][model.one])
+        if stratum is not None and dv_one < stratum:
+            continue
         sj = max(j for j in range(4) if j != i0)
         fa, fb = (j for j in range(4) if j not in (i0, sj))
-        a_pool = model.nonunits if fa < i0 else model.ids
-        b_pool = model.nonunits if fb < i0 else model.ids
-        if partition is not None:
+        a_pool = pools[fa][int(fa < i0)]
+        b_pool = pools[fb][int(fb < i0)]
+        if keys is not None:
+            a_pool = a_pool[keys[:, a_pool].any(axis=0)]
+        elif partition is not None:
             a_pool = a_pool[a_pool % partition[1] == partition[0]]
         base = ring.unpack(model.term[i0][model.one])
         neg_tb = ring.neg(ring.unpack(model.term[fb][b_pool]))
-        rcnt, roff, rflat = model.roots[sj]
-        dv_one = int(model.dval[i0][model.one])
+        rcnt, roff, rflat = roots[sj]
         dvb = model.dval[fb][b_pool]
         for a in a_pool.tolist():
             s1 = ring.add(base, ring.unpack(int(model.term[fa][a])))
@@ -387,13 +467,17 @@ def _batches(model: _LocalModel,
                 if sj < i0:
                     keep = model.val[sols] > 0
                     pmap, sols = pmap[keep], sols[keep]
-                    if not len(pmap):
-                        continue
                 dv = np.empty((4, len(pmap)), dtype=np.int64)
                 dv[i0] = dv_one
                 dv[fa] = model.dval[fa][a]
                 dv[fb] = dvb[pmap]
                 dv[sj] = model.dval[sj][sols]
+                if stratum is not None or keys is not None:
+                    w = dv.min(axis=0)
+                    keep = w == stratum if keys is None else keys[w, a]
+                    pmap, sols, dv = pmap[keep], sols[keep], dv[:, keep]
+                if not len(pmap):
+                    continue
                 yield _Batch((i0, fa, fb, sj), a, b_pool, pmap, sols, dv)
 
 
@@ -498,17 +582,23 @@ class _ClassEvaluator:
                 f"certificate pi^{w} leaves no unit digits at {self.place}")
         ring = self.ring
         lo = self.lo
-        nums = self.numerator_values(coords)
-        num_val = [ring.valuation(n) for n in nums]
+        # each numerator and each cubed coordinate is read once: (valuation,
+        # unit mod pi^m_v), or None when too deep to be evaluable
+        nums = []
+        for n in self.numerator_values(coords):
+            vn = ring.valuation(n)
+            nums.append((vn, self._unit_mod_m(n, vn)) if vn <= limit else None)
+        dens = []
+        for c in coords:
+            vd = 3 * ring.valuation(c)
+            dens.append((vd, lo.inv(self._unit_mod_m(ring.pow(c, 3), vd)))
+                        if vd <= limit else None)
         seen = {}
         for num_i, den_i, const_v, const_u in self.charts:
-            vn = num_val[num_i]
-            vd = 3 * ring.valuation(coords[den_i])
-            if vn > limit or vd > limit:
+            if nums[num_i] is None or dens[den_i] is None:
                 continue
-            un = self._unit_mod_m(nums[num_i], vn)
-            ud = self._unit_mod_m(ring.pow(coords[den_i], 3), vd)
-            u = lo.mul(lo.mul(un, lo.inv(ud)), const_u)
+            (vn, un), (vd, ud_inv) = nums[num_i], dens[den_i]
+            u = lo.mul(lo.mul(un, ud_inv), const_u)
             v = const_v + vn - vd
             seen[(num_i, den_i)] = self.table[(v % 3, lo.pack(u))]
         if not seen:
@@ -573,13 +663,19 @@ class _Incomplete(Exception):
 
 
 class _VecEngine:
-    """The chart evaluator compiled to integer arrays over `_batches`.
+    """The chart evaluator compiled to integer arrays over the balls of
+    `_batches`.
 
     Ring elements are addressed by packed id, as in `_LocalModel`.  What
     the evaluation needs beyond the model (unit parts reduced to the small
     invariant-reading ring, its multiplication table, the invariant table)
-    is tabulated once, and each batch of classes is then evaluated with
-    array lookups and the ring's arithmetic on arrays.
+    is tabulated once.  The engine then walks the certificate strata w
+    with 2w < N and evaluates each batch of balls mod pi^(N - w) with
+    array lookups and the ring's arithmetic on arrays.  An evaluable
+    chart has numerator and denominator valuation at most N - w - m_v,
+    below the radius N - w of the ball, so one evaluation at the ball's
+    representative holds for all q^(3w) classes of the ball, and those
+    are what `point_classes` counts.
     """
 
     SIZE_CAP = 6_000_000
@@ -595,7 +691,8 @@ class _VecEngine:
                 f"residue ring at {place} too large at precision {precision}")
         self.ring = ring
         self.model = model = _local_model(coeffs, place, precision)
-        self._redcache: dict[int, np.ndarray] = {}
+        for w in model.strata:
+            model.stratum(w)
         self.split = is_local_cube(cls.theta, place)
         if self.split:
             return
@@ -658,8 +755,8 @@ class _VecEngine:
                 xterms.append((mono[fa], beta, delta, cemb))
         return sterms, bterms, xterms
 
-    def _branch(self, roles, b_pool):
-        """Per-leading-coordinate data over the pool of b values."""
+    def _branch(self, w, roles, b_pool):
+        """Per-stratum, per-leading-coordinate data over the pool of b."""
         _, fa, fb, sj = roles
         nsplit = [self._split_numerator(num, fa, fb, sj)
                   for num in self.num_groups]
@@ -667,17 +764,7 @@ class _VecEngine:
         bpow_elems = (None,) + tuple(self.ring.unpack(ids) for ids in bpows[1:])
         # denominator data over the free block, in chart rank
         vdb = 3 * self.model.val[b_pool]
-        return roles, b_pool, nsplit, bpows, bpow_elems, vdb
-
-    def _reduction_ids(self, p: int):
-        # position of each element's image in o_v/pi^p, for batch dedup
-        arr = self._redcache.get(p)
-        if arr is None:
-            tgt = residue_ring(self.place, p)
-            arr = tgt.pack(self.ring.reduce_to(self.ring.unpack(self.model.ids),
-                                               tgt))
-            self._redcache[p] = arr
-        return arr
+        return (w, roles), b_pool, nsplit, bpows, bpow_elems, vdb
 
     def run(self, part: int, nparts: int):
         try:
@@ -689,40 +776,27 @@ class _VecEngine:
         bits = 0
         count = 0
         branch = None
-        for bt in _batches(self.model, (part, nparts)):
-            pmap, sols, w = bt.pmap, bt.sol, bt.w
-            cert = 2 * w < self.precision
-            if not cert.any():
-                continue
-            if not cert.all():
-                pmap, sols, w = pmap[cert], sols[cert], w[cert]
-            count += len(pmap)
-            if self.split:
-                bits |= 1
-                continue
-            if self.collect is not None and bt.roles[0] != 0:
-                self.collect_other_branch = True
-            if branch is None or branch[0] != bt.roles:
-                branch = self._branch(bt.roles, bt.b_pool)
-            bits |= self._eval_batch(branch, bt.a, pmap, sols, w, count)
+        model = self.model
+        for w in model.strata:
+            lifts = model.q ** (3 * w)
+            for bt in _batches(model, (part, nparts), w):
+                count += len(bt.pmap) * lifts
+                if self.split:
+                    bits |= 1
+                    continue
+                if self.collect is not None and bt.roles[0] != 0:
+                    self.collect_other_branch = True
+                if branch is None or branch[0] != (w, bt.roles):
+                    branch = self._branch(w, bt.roles, bt.b_pool)
+                bits |= self._eval_batch(branch, bt.a, bt.pmap, bt.sol, count)
         return tuple(j for j in range(3) if bits >> j & 1), count, True
 
-    def _eval_batch(self, branch, a_id, pmap, sols, w, count):
-        """Invariant bits attained on one certified batch."""
+    def _eval_batch(self, branch, a_id, pmap, sols, count):
+        """Invariant bits attained on one batch of balls."""
         ring = self.ring
         model = self.model
-        roles, b_pool, nsplit, bpows, bpow_elems, vdb = branch
+        (w, roles), b_pool, nsplit, bpows, bpow_elems, vdb = branch
         i0, fa, fb, sj = roles
-        # outcomes only depend on coordinates mod pi^(N - w), so classes
-        # that merge at that precision are evaluated once
-        wmin = int(w.min())
-        if wmin > 0:
-            red = self._reduction_ids(self.precision - wmin)
-            rmax = int(red.max()) + 1
-            keys = red[b_pool[pmap]] * rmax + red[sols]
-            ui = np.unique(keys, return_index=True)[1]
-            if len(ui) < len(pmap):
-                pmap, sols, w = pmap[ui], sols[ui], w[ui]
         a_elem = ring.unpack(a_id)
         a2 = ring.mul(a_elem, a_elem)
         apow = (ring.one, a_elem, a2, ring.mul(a2, a_elem))
@@ -753,10 +827,10 @@ class _VecEngine:
                 acc = ring.add(acc, x)
             nid = np.broadcast_to(ring.pack(acc), size)
             if self.collect is not None and len(jn_list) == 0 and i0 == 0:
-                # values are pinned mod pi^(precision - w) at the nearby
-                # point, so the deduped representatives cover all residues
+                # values are pinned mod pi^(precision - w) on a ball, so
+                # the ball representatives cover all residues
                 self.collect.update(np.unique(nid).tolist())
-                self.collect_wmax = max(self.collect_wmax, int(w.max()))
+                self.collect_wmax = max(self.collect_wmax, w)
             vn = model.val[nid]
             okn_list.append(vn <= limit)
             jn_list.append((vn, self.ulow[nid]))
@@ -836,12 +910,13 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
                          place: Place, precision: int) -> frozenset:
     """Residues mod 9 of (first chart value)/pi over all certified classes.
 
-    Runs the full enumeration at the given precision and collects the
-    value of the first chart numerator on every certified point class,
-    whether or not the chart passes the evaluability threshold there.
-    Values are pinned mod pi^(precision - w) at the certified nearby
-    point, so with precision - w >= 5 each value yields a well-defined
-    residue of value/pi modulo pi^4 = 9.  Exhaustive, not sampled.
+    Runs the engine's walk over Hensel balls at the given precision and
+    collects the value of the first chart numerator on every certified
+    ball, whether or not the chart passes the evaluability threshold
+    there.  Values are pinned mod pi^(precision - w) on a ball and at its
+    certified nearby points, so with precision - w >= 5 each value yields
+    a well-defined residue of value/pi modulo pi^4 = 9.  Exhaustive, not
+    sampled.
 
     Only meaningful at the ramified place.  Raises ArithmeticError when a
     certified class has nonunit leading coordinate (the chart is then not

@@ -10,6 +10,7 @@ arithmetic.
 
 from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,8 @@ from bmcubic.azumaya import (
     NoStabilization,
     Verdict,
     _attained_reference,
+    _batches,
+    _local_model,
     _minkowski,
     _vec_engine,
     bad_places,
@@ -251,11 +254,15 @@ def test_engine_matches_reference_small_inert():
 
 
 def test_engine_matches_reference_ramified_slice():
+    # a slice keys a class by its free value reduced mod pi^(N - w), its
+    # ball's representative, so the engine's slice of balls holds exactly
+    # the lifts of the reference's slice of classes
     ref = _attained_reference(CG, CLS, V3, 7, (0, 729))
     eng = _vec_engine(CG, CLS, V3, 7).run(0, 729)
     assert ref == eng
     assert ref[0] == (2,)
     assert ref[2] is True
+    assert ref[1] >= 59049
 
 
 def test_engine_matches_reference_incomplete_at_default_ramified_precision():
@@ -273,6 +280,54 @@ def test_engine_partition_union_matches_whole():
     assert merged == whole[0]
     assert sum(p[1] for p in parts) == whole[1]
     assert all(p[2] for p in parts)
+
+
+def test_engine_partition_union_matches_whole_over_3():
+    # the partition --jobs uses, on balls of certificate w = 2
+    whole = _vec_engine(CG, CLS, V3, 7).run(0, 1)
+    assert whole == ((2,), 3 ** 16, True)
+    parts = [_vec_engine(CG, CLS, V3, 7).run(k, 4) for k in range(4)]
+    merged = tuple(sorted(set().union(*(set(p[0]) for p in parts))))
+    assert merged == whole[0]
+    assert sum(p[1] for p in parts) == whole[1]
+    assert all(p[2] and p[1] for p in parts)
+
+
+def _class_counts_by_w(coeffs, place, n):
+    """Certified classes of the class walk, counted by certificate w."""
+    counts = [0] * (n + 1)
+    for bt in _batches(_local_model(coeffs, place, n)):
+        for w, k in enumerate(np.bincount(bt.w, minlength=n + 1).tolist()):
+            counts[w] += k
+    return {w: k for w, k in enumerate(counts) if k and 2 * w < n}
+
+
+@pytest.mark.parametrize("coeffs, place, n, by_w, balls", [
+    ((1, 1, 7, 7), V7, 3, {0: 352947, 1: 50421}, None),
+    ((1, 1, 7, 7), places_over(7)[1], 3, {0: 352947, 1: 50421}, None),
+    ((1, 1, 2, 2), V2, 5, {0: 3145728, 1: 786432}, None),
+    (CG, V3, 7, {2: 59049 * 3 ** 6}, {2: 59049}),
+])
+def test_balls_per_stratum_match_the_class_walk(coeffs, place, n, by_w, balls):
+    model = _local_model(coeffs, place, n)
+    assert _class_counts_by_w(coeffs, place, n) == by_w
+    got_balls, got_classes = {}, {}
+    for w in model.strata:
+        for bt in _batches(model, None, w):
+            assert (bt.w == w).all()
+            got_balls[w] = got_balls.get(w, 0) + len(bt.pmap)
+            got_classes[w] = got_classes.get(w, 0) \
+                + len(bt.pmap) * model.q ** (3 * w)
+    assert got_classes == by_w
+    if balls is not None:
+        assert got_balls == balls
+    # the engine counts the same classes: a class with theta = 1 splits
+    # everywhere, so its run only counts balls times their lifts
+    one = EisensteinNumber(1)
+    split = AzumayaClass(one, (AzumayaChart(one, CLS.charts[0].numerator, 0,
+                                            one),))
+    assert _vec_engine(coeffs, split, place, n).run(0, 1) \
+        == ((0,), sum(by_w.values()), True)
 
 
 def test_mismatched_surface_charts_abort():

@@ -217,6 +217,20 @@ def test_reports_ignore_worker_count(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_reports_over_3_ignore_worker_count(tmp_path, capsys):
+    # the whole ladder over 3, up to pi^9, in Hensel balls split by workers
+    outs = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run(capsys, "local", "-c", "5,9,10,12", "--place", "3",
+                         "--jobs", jobs, "--out", str(target))
+        assert code == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
+    place = json.loads(outs[0])["result"]["places"][0]
+    assert place["point_classes"] == 3 ** 20 and place["precision"] == 9
+
+
 def test_scan_reports_ignore_worker_count(tmp_path, capsys):
     outs = []
     for jobs in ("1", "2"):
