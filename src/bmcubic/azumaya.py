@@ -547,10 +547,16 @@ class _ClassEvaluator:
             loc = localize(ch.constant, place, self.m_v)
             self.charts.append((self.num_index[ch.numerator], ch.denominator,
                                 loc.valuation, loc.unit))
+        # the numerators share their monomials: each distinct one is
+        # multiplied out once per class and read by every numerator
+        mono_index: dict[tuple, int] = {}
         self.num_terms = []
         for num in numerators:
             self.num_terms.append([
-                (ring.embed(c), mono) for mono, c in num if not c.is_zero])
+                (ring.embed(c), mono_index.setdefault(mono, len(mono_index)))
+                for mono, c in num if not c.is_zero])
+        self.monomials = tuple(
+            tuple((i, e) for i, e in enumerate(mono) if e) for mono in mono_index)
         self.table = invariant_table(cls.theta, place)
 
     def _unit_mod_m(self, value, v: int):
@@ -561,14 +567,17 @@ class _ClassEvaluator:
         ring = self.ring
         sqs = [ring.mul(c, c) for c in coords]
         pows = [(None, c, sq, ring.mul(sq, c)) for c, sq in zip(coords, sqs)]
+        monos = []
+        for factors in self.monomials:
+            value = None
+            for i, e in factors:
+                value = pows[i][e] if value is None else ring.mul(value, pows[i][e])
+            monos.append(value)
         out = []
         for terms in self.num_terms:
             acc = None
-            for cemb, mono in terms:
-                term = cemb
-                for i in range(4):
-                    if mono[i]:
-                        term = ring.mul(term, pows[i][mono[i]])
+            for cemb, k in terms:
+                term = cemb if monos[k] is None else ring.mul(cemb, monos[k])
                 acc = term if acc is None else ring.add(acc, term)
             out.append(acc)
         return out

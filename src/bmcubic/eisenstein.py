@@ -47,9 +47,22 @@ def _binary(op):
     return wrapper
 
 
+def _rat(v: RatLike) -> RatLike:
+    """v as an int when it is integral, else as a Fraction.
+
+    >>> _rat(Fraction(6, 3)), _rat(Fraction(1, 2))
+    (2, Fraction(1, 2))
+    """
+    v = Fraction(v)
+    return int(v.numerator) if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class EisensteinNumber:
     """x + y*zeta with zeta a primitive cube root of unity.
+
+    A coordinate is an int when it is integral and a Fraction otherwise, so
+    arithmetic on algebraic integers stays in machine-speed int operations.
 
     >>> z = EisensteinNumber(0, 1)
     >>> z * z * z
@@ -58,12 +71,12 @@ class EisensteinNumber:
     True
     """
 
-    x: Fraction
-    y: Fraction
+    x: RatLike
+    y: RatLike
 
     def __init__(self, x: RatLike = 0, y: RatLike = 0):
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "x", x if type(x) is int else _rat(x))
+        object.__setattr__(self, "y", y if type(y) is int else _rat(y))
 
     @property
     def is_zero(self) -> bool:
@@ -100,17 +113,18 @@ class EisensteinNumber:
 
     def norm(self) -> Fraction:
         """Norm to Q: x^2 - x*y + y^2."""
-        return self.x * self.x - self.x * self.y + self.y * self.y
+        return Fraction(self.x * self.x - self.x * self.y + self.y * self.y)
 
     def trace(self) -> Fraction:
-        return 2 * self.x - self.y
+        return Fraction(2 * self.x - self.y)
 
     def inverse(self) -> "EisensteinNumber":
-        n = self.norm()
+        x, y = self.x, self.y
+        n = x * x - x * y + y * y
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        c = self.conjugate()
-        return EisensteinNumber(c.x / n, c.y / n)
+        # conjugate over the norm, divided as Fractions: int / int is a float
+        return EisensteinNumber(Fraction(x - y, n), Fraction(-y, n))
 
     @_binary
     def __truediv__(self, other) -> "EisensteinNumber":

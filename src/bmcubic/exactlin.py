@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -70,7 +71,7 @@ class IntMatrix:
         >>> IntMatrix.from_rows([[1, 2], [3, 4]]).entries
         (1, 2, 3, 4)
         """
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -107,24 +108,23 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        orows = other.to_rows()
+        n = other.cols
+        orows = [other.entries[k * n:(k + 1) * n] for k in range(other.rows)]
+        flat: list[int] = []
         for i in range(self.rows):
-            srow = self.row(i)
-            acc = [0] * other.cols
-            for k, a in enumerate(srow):
+            acc = [0] * n
+            for a, orow in zip(self.row(i), orows):
                 if a:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-            out.append(acc)
-        return IntMatrix.from_rows(out, cols=other.cols)
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            flat.extend(acc)
+        return IntMatrix(self.rows, n, tuple(flat))
 
     def apply(self, v: Sequence[int]) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(self.at(i, k) * v[k] for k in range(self.cols)) for i in range(self.rows))
+        n, e = self.cols, self.entries
+        return tuple([sum(map(mul, e[i * n:i * n + n], v)) for i in range(self.rows)])
 
     def determinant(self) -> int:
         """Fraction-free Bareiss determinant.
@@ -367,7 +367,6 @@ class ColumnReduction:
     """
 
     def __init__(self, ncols: int):
-        self.ncols = ncols
         self.columns: list[list[int]] = [[1 if i == j else 0 for i in range(ncols)]
                                          for j in range(ncols)]
 
@@ -387,18 +386,21 @@ class ColumnReduction:
         nz = [j for j, d in enumerate(dots) if d]
         if not nz:
             return
-        j0 = nz[0]
-        for j in nz[1:]:
-            aa, bb = dots[j0], dots[j]
-            g, s, t = ext_gcd(aa, bb)
-            x, y = aa // g, bb // g
-            cj0, cj = cols[j0], cols[j]
-            for i in range(self.ncols):
-                p, q = cj0[i], cj[i]
-                cj0[i] = s * p + t * q
-                cj[i] = -y * p + x * q
-            dots[j0] = g
-        cols.pop(j0)
+        # Euclid on the dots: unimodular column steps leave one nonzero dot
+        # and keep the surviving columns small
+        while len(nz) > 1:
+            p = min(nz, key=lambda j: (abs(dots[j]), j))
+            dp, cp = dots[p], cols[p]
+            rest = []
+            for j in nz:
+                if j != p:
+                    q = dots[j] // dp
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cp)]
+                    dots[j] -= q * dp
+                    if dots[j]:
+                        rest.append(j)
+            nz = rest + [p]
+        cols.pop(nz[0])
 
     def kernel(self) -> list[Vector]:
         out = []

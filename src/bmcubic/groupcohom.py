@@ -245,6 +245,8 @@ class GIntModule:
             for h in range(group.order):
                 prod_ = ag @ self.action[h]
                 gh = self.action[group.mul(g, h)]
+                if prod_ == gh:
+                    continue
                 for j in range(rank):
                     diff = [prod_.at(i, j) - gh.at(i, j) for i in range(rank)]
                     if any(diff) and not lat.contains(diff):

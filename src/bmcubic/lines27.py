@@ -166,6 +166,35 @@ def _f3_rowspace(rows: list[Triple]) -> list[Triple]:
     return [tuple(b) for b in basis]  # type: ignore[return-value]
 
 
+def _f3_reduced_basis(rows: list[Triple]) -> tuple[Triple, ...]:
+    """Reduced echelon basis of the span of `rows` in F_3^3: spanning sets
+    of one subspace give the same tuple."""
+    basis = [list(b) for b in _f3_rowspace(rows)]
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        inv = b[lead]  # x^-1 = x in F_3^*
+        b[:] = [x * inv % 3 for x in b]
+        for other in basis:
+            if other is not b and other[lead]:
+                c = other[lead]
+                other[:] = [(x - c * y) % 3 for x, y in zip(other, b)]
+    return tuple(tuple(b) for b in basis)  # type: ignore[misc]
+
+
+@lru_cache(maxsize=None)
+def _realized_subgroup(basis: tuple[Triple, ...]) -> tuple[
+        tuple[Triple, ...], tuple[Triple, ...]]:
+    """Elements of the span of a reduced basis and an echelon basis of its
+    annihilator, the F_3 relations among the cube classes.  Keyed by the
+    reduced basis, so at most one entry per subgroup of (Z/3)^3: 28."""
+    elements = _span_triples(list(basis))
+    rel_rows = [cand for cand in product(range(3), repeat=3)
+                if any(cand) and all(
+                    sum(c * row[i] for i, c in enumerate(cand)) % 3 == 0
+                    for row in basis)]
+    return elements, tuple(_f3_rowspace(rel_rows))
+
+
 def _span_triples(basis: list[Triple]) -> tuple[Triple, ...]:
     out = set()
     for coeffs in product(range(3), repeat=len(basis)):
@@ -211,16 +240,16 @@ def _group_from_triples(triples: tuple[Triple, ...]) -> tuple[
     basis = _f3_rowspace(list(elements))
     generators = tuple(index[b] for b in basis)
     group = FiniteGroup(len(elements), tuple(table), generators)
-    config = line_configuration()
+    inc = line_configuration().incidence
     perms = []
     for g in elements:
         perm = tuple(LABEL_INDEX[_act_on_label(g, lab)] for lab in LABELS)
         if sorted(perm) != list(range(27)):
             raise ValueError("action is not a permutation")
         for i in range(27):
-            for j in range(27):
-                if config.incidence.at(i, j) != config.incidence.at(perm[i], perm[j]):
-                    raise ValueError("action does not preserve incidence")
+            image_row = inc.row(perm[i])
+            if inc.row(i) != tuple(image_row[j] for j in perm):
+                raise ValueError("action does not preserve incidence")
         perms.append(perm)
     return group, tuple(perms)
 
@@ -252,16 +281,7 @@ def galois_data(coeffs: Sequence[int]) -> GaloisData:
     primes = sorted(set().union(*vecs))
     prime_rows: list[Triple] = [
         tuple(v.get(p, 0) for v in vecs) for p in primes]  # type: ignore[misc]
-    span_basis = _f3_rowspace(prime_rows)
-    elements = _span_triples(span_basis)
-    # relations: kernel of the map F_3^3 -> F_3^primes, the annihilator of G
-    rel_rows = []
-    for cand in product(range(3), repeat=3):
-        if any(cand) and all(
-                sum(c * row[i] for i, c in enumerate(cand)) % 3 == 0
-                for row in prime_rows):
-            rel_rows.append(cand)
-    relations = tuple(_f3_rowspace(rel_rows))
+    elements, relations = _realized_subgroup(_f3_reduced_basis(prime_rows))
     group, perms = _group_from_triples(elements)
     return GaloisData((a, b, c, d), elements, relations, group, perms)
 

@@ -67,6 +67,30 @@ def test_inverse(a):
     assert (ONE / a) * a == ONE
 
 
+rationals = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=12))
+mixed_eis = st.builds(EisensteinNumber, rationals, rationals)
+
+
+def coordinates_are_exact(z):
+    """int when integral, Fraction otherwise; never a float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in (z.x, z.y))
+
+
+@given(mixed_eis, mixed_eis)
+def test_integral_coordinates_are_ints(a, b):
+    values = [a, b, a + b, a - b, a * b, -a, a.conjugate(), a ** 3, 3 * a, a * Fraction(1, 3)]
+    if not b.is_zero:
+        values += [b.inverse(), a / b, b ** -2]
+        assert b * b.inverse() == ONE
+    assert all(coordinates_are_exact(z) for z in values)
+    for n in (a.norm(), a.trace(), b.norm(), b.trace()):
+        assert type(n) is Fraction
+    assert EisensteinNumber(Fraction(6, 3)) == EisensteinNumber(2)
+    assert hash(EisensteinNumber(Fraction(6, 3))) == hash(EisensteinNumber(2))
+    assert hash(EisensteinNumber(a.x, Fraction(a.y))) == hash(a)
+
+
 @given(eis(), eis())
 def test_conjugation_and_norm(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()

@@ -102,6 +102,31 @@ def test_matrix_product_and_apply():
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
 
 
+@st.composite
+def matrix_pairs(draw, max_dim=4, max_entry=9):
+    """(a, b) with a.cols == b.rows; any dimension may be 0."""
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a = draw(st.lists(st.integers(-max_entry, max_entry), min_size=r * k, max_size=r * k))
+    b = draw(st.lists(st.integers(-max_entry, max_entry), min_size=k * c, max_size=k * c))
+    return IntMatrix(r, k, tuple(a)), IntMatrix(k, c, tuple(b))
+
+
+@given(matrix_pairs(), st.data())
+def test_product_and_apply_match_triple_loop(pair, data):
+    a, b = pair
+    rows_a, rows_b = a.to_rows(), b.to_rows()
+    naive = [[sum(rows_a[i][k] * rows_b[k][j] for k in range(a.cols))
+              for j in range(b.cols)] for i in range(a.rows)]
+    prod_ = a @ b
+    assert (prod_.rows, prod_.cols) == (a.rows, b.cols)
+    assert prod_.to_rows() == naive
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols, max_size=a.cols))
+    assert a.apply(v) == tuple(sum(rows_a[i][k] * v[k] for k in range(a.cols))
+                               for i in range(a.rows))
+    with pytest.raises(ValueError):
+        a.apply(v + [1])
+
+
 # --- smith normal form -------------------------------------------------------
 
 def test_snf_frozen_examples():

@@ -5,12 +5,15 @@ groups (ker/im of tau-1 and the norm); the bar-resolution machinery must
 reproduce them, and the two resolutions must agree wherever both apply.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmcubic.exactlin import IntMatrix
+from bmcubic.exactlin import ColumnReduction, IntMatrix
 from bmcubic.groupcohom import (
+    _BarComplex,
     Cochain,
     CohomologyResult,
     FiniteGroup,
@@ -53,6 +56,25 @@ def a2_module():
 S3 = group_closure([(1, 0, 2), (1, 2, 0)])
 Z3 = cyclic_group(3)
 Z2 = cyclic_group(2)
+
+
+# ------------------------------------------------------------------ modules
+
+def test_module_rejects_non_multiplicative_action():
+    neg = IntMatrix.from_rows([[-1]])
+    with pytest.raises(ValueError, match="not multiplicative"):
+        GIntModule(Z3, 1, [], [IntMatrix.identity(1), neg, neg])
+    # the same action is multiplicative modulo 2: accepted by the column test
+    GIntModule(Z3, 1, [(2,)], [IntMatrix.identity(1), neg, neg])
+
+
+def test_module_rejects_non_generator_breaking_a_relation():
+    # element 2 is not a generator of Z3; only it moves (1, -1) off the lattice
+    ident = IntMatrix.identity(2)
+    bad = IntMatrix.from_rows([[1, 0], [0, 2]])
+    assert Z3.generators == (1,)
+    with pytest.raises(ValueError, match="preserve the relations"):
+        GIntModule(Z3, 2, [(1, -1)], [ident, ident, bad])
 
 
 # ------------------------------------------------------------------ groups
@@ -162,6 +184,19 @@ def test_h0_invariants():
     assert res.structure.free_rank == 1 and not res.structure.torsion
     vec = res.generators[0].value(())
     assert vec in ((1, 1, 1), (-1, -1, -1))
+
+
+def test_regular_c4_degree_three_keeps_columns_small():
+    # Euclid elimination in ColumnReduction.feed: without it the surviving
+    # columns grow to thousands of bits within the first rows
+    g = cyclic_group(4)
+    m = regular_module(g)
+    bar = _BarComplex(g, m)
+    red = ColumnReduction(bar.dim(3))
+    for row in islice(bar.rows(3), 65):
+        red.feed(row)
+    assert max(abs(x).bit_length() for col in red.columns for x in col) < 64
+    assert cohomology(g, m, 3).structure.is_trivial
 
 
 def test_generator_orders():

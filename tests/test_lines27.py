@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from bmcubic.calibrate import TowerAutomorphism, TowerField
 from bmcubic.exactlin import IntMatrix, smith_normal_form
 from bmcubic.groupcohom import cohomology, invariants_module
-from bmcubic.lines27 import (LABELS, LineLabel, _act_on_label, galois_data,
+from bmcubic.lines27 import (LABELS, LineLabel, _act_on_label,
+                             _f3_reduced_basis, _f3_rowspace,
+                             _realized_subgroup, _span_triples, galois_data,
                              h1_picard, incident, line_configuration,
                              line_forms, picard_presentation,
                              table_classification)
@@ -228,6 +230,25 @@ def test_h1_generator_is_nontrivial_cocycle():
 def test_h1_cache_keyed_by_subgroup():
     assert h1_picard((1, 1, 1, 2)) is h1_picard((1, 1, 1, 16))
     assert h1_picard(CG) is h1_picard((10, 18, 20, 24))
+
+
+def test_realized_subgroup_memo_holds_one_entry_per_subgroup():
+    for cs in product(range(1, 13), repeat=4):
+        galois_data(cs)
+    assert _realized_subgroup.cache_info().currsize <= 28
+
+
+@given(st.lists(st.tuples(*(st.integers(0, 2) for _ in range(3))), max_size=4),
+       st.data())
+def test_reduced_basis_depends_only_on_the_span(rows, data):
+    combos = data.draw(st.lists(st.tuples(*(st.integers(0, 2) for _ in rows)),
+                                max_size=3))
+    extra = [tuple(sum(c * r[i] for c, r in zip(cs, rows)) for i in range(3))
+             for cs in combos]
+    other = data.draw(st.permutations(rows + extra))
+    basis = _f3_reduced_basis(rows)
+    assert _f3_reduced_basis(other) == basis
+    assert _span_triples(list(basis)) == _span_triples(_f3_rowspace(rows))
 
 
 def test_table_examples():
