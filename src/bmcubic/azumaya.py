@@ -30,11 +30,15 @@ for each certificate stratum w the engine walks the balls mod pi^(N-w)
 whose representative has least partial valuation exactly w.  Each ball
 is evaluated once and stands for the q^(3w) certified classes it holds (q
 the size of the residue field); over 3 at N = 7 that is 59,049 balls for
-3^16 classes.  The point listing, the solvability test and the scalar
-reference evaluator keep the walk over classes, which is the oracle.
+3^16 classes.  The engine runs in three stages: the walk over the balls,
+the numerator stage that evaluates the chart numerators on them, and the
+chart reading that turns numerator values into invariants; the residue
+collector `first_chart_residues` reads the numerator stage without
+evaluating the class.  The point listing, the solvability test and the scalar reference
+evaluator keep the walk over classes, which is the oracle.
 
-Per-place invariant sets are
-accepted only when enumeration at precision N and N+2 attains the same set,
+Per-place invariant sets are accepted only when enumeration at precision
+N and N+2 attains the same set on one precision ladder (`_rungs`),
 replacing effective precision bounds with a stability contract.  The final
 verdict compares the Minkowski sum of the per-place sets against 0.
 """
@@ -481,30 +485,12 @@ def _batches(model: _LocalModel,
                 yield _Batch((i0, fa, fb, sj), a, b_pool, pmap, sols, dv)
 
 
-def _scan(coeffs: Coeffs, place: Place, precision: int,
-          partition: Optional[tuple[int, int]] = None
-          ) -> Iterator[tuple[tuple, int, int, bool]]:
-    """Stream (coords, cert_index, cert_valuation, certified) over the
-    classes of `_batches`, one class at a time, coordinates as ring
-    elements."""
-    model = _local_model(coeffs, place, precision)
-    ring = model.ring
-    for bt in _batches(model, partition):
-        _, fa, fb, sj = bt.roles
-        coords = [ring.one] * 4
-        coords[fa] = ring.unpack(bt.a)
-        for b, sol, w, idx in zip(bt.b_pool[bt.pmap].tolist(), bt.sol.tolist(),
-                                  bt.w.tolist(), bt.idx.tolist()):
-            coords[fb] = ring.unpack(b)
-            coords[sj] = ring.unpack(sol)
-            yield tuple(coords), idx, w, precision > 2 * w
-
-
 def enumerate_local_points(coeffs: Sequence[int], place: Place,
                            precision: int,
                            _partition: Optional[tuple[int, int]] = None
                            ) -> Iterator[LocalPointClass]:
-    """Certified liftable point classes mod pi^precision, in a fixed order.
+    """Certified liftable point classes mod pi^precision, in a fixed order:
+    the certified classes of `_batches`, one at a time.
 
     >>> v7, _ = places_over(7)
     >>> pts = list(enumerate_local_points((1, 1, 1, 1), v7, 1))
@@ -514,9 +500,20 @@ def enumerate_local_points(coeffs: Sequence[int], place: Place,
     cs = _validate_coeffs(coeffs)
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    for coords, idx, w, ok in _scan(cs, place, precision, _partition):
-        if ok:
-            yield LocalPointClass(place, precision, coords, (idx, w))
+    model = _local_model(cs, place, precision)
+    ring = model.ring
+    for bt in _batches(model, _partition):
+        _, fa, fb, sj = bt.roles
+        w = bt.w
+        ok = 2 * w < precision
+        coords = [ring.one] * 4
+        coords[fa] = ring.unpack(bt.a)
+        for b, sol, wk, idx in zip(bt.b_pool[bt.pmap[ok]].tolist(),
+                                   bt.sol[ok].tolist(), w[ok].tolist(),
+                                   bt.idx[ok].tolist()):
+            coords[fb] = ring.unpack(b)
+            coords[sj] = ring.unpack(sol)
+            yield LocalPointClass(place, precision, tuple(coords), (idx, wk))
 
 
 # --- invariant evaluation ---------------------------------------------------
@@ -563,10 +560,10 @@ class _ClassEvaluator:
         u = self.ring.unit_part(value, v)
         return self.unit_rings[v].reduce_to(u, self.lo)
 
-    def numerator_values(self, coords) -> list:
+    def numerator_values(self, pows) -> list:
+        """The numerators at a class, from its coordinate powers
+        pows[i] = (None, x_i, x_i^2, x_i^3)."""
         ring = self.ring
-        sqs = [ring.mul(c, c) for c in coords]
-        pows = [(None, c, sq, ring.mul(sq, c)) for c, sq in zip(coords, sqs)]
         monos = []
         for factors in self.monomials:
             value = None
@@ -591,16 +588,22 @@ class _ClassEvaluator:
                 f"certificate pi^{w} leaves no unit digits at {self.place}")
         ring = self.ring
         lo = self.lo
-        # each numerator and each cubed coordinate is read once: (valuation,
-        # unit mod pi^m_v), or None when too deep to be evaluable
+        # each coordinate is cubed once for the numerators and the
+        # denominators; each numerator and each cubed coordinate is read
+        # once: (valuation, unit mod pi^m_v), or None when too deep to be
+        # evaluable
+        pows = []
+        for c in coords:
+            sq = ring.mul(c, c)
+            pows.append((None, c, sq, ring.mul(sq, c)))
         nums = []
-        for n in self.numerator_values(coords):
+        for n in self.numerator_values(pows):
             vn = ring.valuation(n)
             nums.append((vn, self._unit_mod_m(n, vn)) if vn <= limit else None)
         dens = []
-        for c in coords:
+        for c, (_, _, _, cube) in zip(coords, pows):
             vd = 3 * ring.valuation(c)
-            dens.append((vd, lo.inv(self._unit_mod_m(ring.pow(c, 3), vd)))
+            dens.append((vd, lo.inv(self._unit_mod_m(cube, vd)))
                         if vd <= limit else None)
         seen = {}
         for num_i, den_i, const_v, const_u in self.charts:
@@ -650,41 +653,43 @@ class PlaceReport:
 def _attained_reference(coeffs: Coeffs, cls: AzumayaClass, place: Place,
                         precision: int,
                         partition: Optional[tuple[int, int]] = None):
-    """Attained set by the scalar evaluator, one class of `_scan` at a
-    time; the oracle for the array engine."""
+    """Attained set by the scalar evaluator, one certified class of
+    `enumerate_local_points` at a time; the oracle for the array engine."""
     ev = _class_evaluator(cls, place, precision)
     attained = set()
     count = 0
-    for coords, idx, w, ok in _scan(coeffs, place, precision, partition):
-        if not ok:
-            continue
+    for pt in enumerate_local_points(coeffs, place, precision, partition):
         count += 1
         try:
-            attained.add(ev.js_at(coords, w))
+            attained.add(ev.js_at(pt.coords, pt.certificate[1]))
         except NoEvaluableChart:
             return None, count, False
     return tuple(sorted(attained)), count, True
 
 
-class _Incomplete(Exception):
-    def __init__(self, count: int):
-        self.count = count
-
-
 class _VecEngine:
     """The chart evaluator compiled to integer arrays over the balls of
-    `_batches`.
+    `_batches`, in three stages.
 
-    Ring elements are addressed by packed id, as in `_LocalModel`.  What
-    the evaluation needs beyond the model (unit parts reduced to the small
-    invariant-reading ring, its multiplication table, the invariant table)
-    is tabulated once.  The engine then walks the certificate strata w
-    with 2w < N and evaluates each batch of balls mod pi^(N - w) with
-    array lookups and the ring's arithmetic on arrays.  An evaluable
-    chart has numerator and denominator valuation at most N - w - m_v,
-    below the radius N - w of the ball, so one evaluation at the ball's
-    representative holds for all q^(3w) classes of the ball, and those
-    are what `point_classes` counts.
+    - The walk (`walk`) runs over the certificate strata w with 2w < N and
+      the batches of balls mod pi^(N - w) that `_batches` yields in each,
+      and pairs every batch with the data that all batches of one stratum
+      and one choice of roles share (`_branch`).
+    - The numerator stage (`numerators`) evaluates each distinct chart
+      numerator on the balls of a batch with the ring's arithmetic on
+      arrays.
+    - The chart reading (`_eval_batch`) turns numerator values into the
+      invariants of the evaluable charts by array lookups in tables built
+      once: unit parts reduced to the small invariant-reading ring, its
+      multiplication table and the invariant table.
+
+    Ring elements are addressed by packed id, as in `_LocalModel`.  An
+    evaluable chart has numerator and denominator valuation at most
+    N - w - m_v, below the radius N - w of the ball, so one evaluation at
+    the ball's representative holds for all q^(3w) classes of the ball,
+    and those are what `run` counts.  When theta is a cube at the place no
+    chart is read and every invariant is 0, but the walk and the numerator
+    stage work for every class.
     """
 
     SIZE_CAP = 6_000_000
@@ -702,6 +707,12 @@ class _VecEngine:
         self.model = model = _local_model(coeffs, place, precision)
         for w in model.strata:
             model.stratum(w)
+        self.num_groups: list[tuple] = []
+        num_index: dict[tuple, int] = {}
+        for ch in cls.charts:
+            if ch.numerator not in num_index:
+                num_index[ch.numerator] = len(self.num_groups)
+                self.num_groups.append(ch.numerator)
         self.split = is_local_cube(cls.theta, place)
         if self.split:
             return
@@ -722,13 +733,8 @@ class _VecEngine:
         # the value of a chart, only its evaluability.  Charts therefore
         # collapse into groups keyed by numerator and constant, each group
         # carrying the set of denominators it may certify through.
-        self.num_groups: list[tuple] = []
-        num_index: dict[tuple, int] = {}
         grouped: dict[tuple, set] = {}
         for ch in cls.charts:
-            if ch.numerator not in num_index:
-                num_index[ch.numerator] = len(self.num_groups)
-                self.num_groups.append(ch.numerator)
             loc = localize(ch.constant, place, self.m_v)
             key = (num_index[ch.numerator], loc.valuation, lo.pack(loc.unit))
             grouped.setdefault(key, set()).add(ch.denominator)
@@ -737,11 +743,6 @@ class _VecEngine:
             for (ni, cv, cu), dens in sorted(grouped.items()))
         self.bit_of = np.array([1, 2, 4, 0], dtype=np.int64)
         self.popcnt = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.int64)
-        # optional residue collection for the first numerator group; left
-        # off in normal runs, switched on by first_chart_residues
-        self.collect: Optional[set] = None
-        self.collect_wmax = 0
-        self.collect_other_branch = False
 
     def _split_numerator(self, numerator, fa: int, fb: int, sj: int):
         """Sort monomials by which free coordinates they touch.
@@ -775,44 +776,47 @@ class _VecEngine:
         vdb = 3 * self.model.val[b_pool]
         return (w, roles), b_pool, nsplit, bpows, bpow_elems, vdb
 
-    def run(self, part: int, nparts: int):
-        try:
-            return self._run(part, nparts)
-        except _Incomplete as stop:
-            return None, stop.count, False
-
-    def _run(self, part: int, nparts: int):
-        bits = 0
-        count = 0
+    def walk(self, part: int, nparts: int):
+        """(w, branch, batch) for every batch of balls in slice `part` of
+        `nparts`, stratum by stratum; the branch is rebuilt only when the
+        stratum or the roles change."""
         branch = None
-        model = self.model
-        for w in model.strata:
-            lifts = model.q ** (3 * w)
-            for bt in _batches(model, (part, nparts), w):
-                count += len(bt.pmap) * lifts
-                if self.split:
-                    bits |= 1
-                    continue
-                if self.collect is not None and bt.roles[0] != 0:
-                    self.collect_other_branch = True
+        for w in self.model.strata:
+            for bt in _batches(self.model, (part, nparts), w):
                 if branch is None or branch[0] != (w, bt.roles):
                     branch = self._branch(w, bt.roles, bt.b_pool)
-                bits |= self._eval_batch(branch, bt.a, bt.pmap, bt.sol, count)
+                yield w, branch, bt
+
+    def run(self, part: int, nparts: int):
+        """(attained invariants, point classes, complete) on one slice.
+
+        The walk stops at the first batch with a ball where no chart is
+        evaluable; the result is then (None, classes so far, False).
+        """
+        bits = 0
+        count = 0
+        for w, branch, bt in self.walk(part, nparts):
+            count += len(bt.pmap) * self.model.q ** (3 * w)
+            if self.split:
+                bits |= 1
+                continue
+            got = self._eval_batch(branch, bt.a, bt.pmap, bt.sol)
+            if got is None:
+                return None, count, False
+            bits |= got
         return tuple(j for j in range(3) if bits >> j & 1), count, True
 
-    def _eval_batch(self, branch, a_id, pmap, sols, count):
-        """Invariant bits attained on one batch of balls."""
+    def numerators(self, branch, a_id, pmap, sols) -> list:
+        """Per numerator group, the ids of its values on a batch's balls."""
         ring = self.ring
         model = self.model
-        (w, roles), b_pool, nsplit, bpows, bpow_elems, vdb = branch
-        i0, fa, fb, sj = roles
+        _, _, nsplit, bpows, bpow_elems, _ = branch
         a_elem = ring.unpack(a_id)
         a2 = ring.mul(a_elem, a_elem)
         apow = (ring.one, a_elem, a2, ring.mul(a2, a_elem))
-        limit = self.precision - self.m_v - w
         size = len(pmap)
         spows = {}
-        jn_list, okn_list = [], []
+        out = []
         for sterms, bterms, xterms in nsplit:
             # fa-only part folds to one scalar per a
             acc = ring.zero
@@ -834,12 +838,19 @@ class _VecEngine:
                     x = ring.mul(ring.unpack(bpows[beta][pmap]), x)
                 x = ring.mul(ring.mul(cemb, apow[aexp]), x)
                 acc = ring.add(acc, x)
-            nid = np.broadcast_to(ring.pack(acc), size)
-            if self.collect is not None and len(jn_list) == 0 and i0 == 0:
-                # values are pinned mod pi^(precision - w) on a ball, so
-                # the ball representatives cover all residues
-                self.collect.update(np.unique(nid).tolist())
-                self.collect_wmax = max(self.collect_wmax, w)
+            out.append(np.broadcast_to(ring.pack(acc), size))
+        return out
+
+    def _eval_batch(self, branch, a_id, pmap, sols) -> Optional[int]:
+        """Invariant bits attained on one batch of balls, or None when some
+        ball of it has no evaluable chart."""
+        ring = self.ring
+        model = self.model
+        (w, (i0, fa, fb, sj)), b_pool, _, _, _, vdb = branch
+        limit = self.precision - self.m_v - w
+        size = len(pmap)
+        jn_list, okn_list = [], []
+        for nid in self.numerators(branch, a_id, pmap, sols):
             vn = model.val[nid]
             okn_list.append(vn <= limit)
             jn_list.append((vn, self.ulow[nid]))
@@ -874,13 +885,13 @@ class _VecEngine:
         if bad.any():
             i = int(bad.argmax())
             coords = [ring.one] * 4
-            coords[fa] = a_elem
+            coords[fa] = ring.unpack(a_id)
             coords[fb] = ring.unpack(int(b_pool[pmap[i]]))
             coords[sj] = ring.unpack(int(sols[i]))
             raise ChartDisagreement(
                 f"charts disagree at {tuple(coords)} ({self.place})")
         if not anyeval.all():
-            raise _Incomplete(count)
+            return None
         return int(np.bitwise_or.reduce(acc_bits))
 
 
@@ -919,13 +930,15 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
                          place: Place, precision: int) -> frozenset:
     """Residues mod 9 of (first chart value)/pi over all certified classes.
 
-    Runs the engine's walk over Hensel balls at the given precision and
-    collects the value of the first chart numerator on every certified
-    ball, whether or not the chart passes the evaluability threshold
-    there.  Values are pinned mod pi^(precision - w) on a ball and at its
-    certified nearby points, so with precision - w >= 5 each value yields
-    a well-defined residue of value/pi modulo pi^4 = 9.  Exhaustive, not
-    sampled.
+    Walks the engine's Hensel balls at the given precision and reads the
+    value of the first chart numerator on every certified ball from the
+    engine's numerator stage, whether or not the chart passes the
+    evaluability threshold there.  The class is not evaluated: no ball
+    needs an evaluable chart, charts are never compared, and theta may be
+    a cube at the place.  Values are pinned mod pi^(precision - w) on a
+    ball and at its certified nearby points, so with precision - w >= 5
+    each value yields a well-defined residue of value/pi modulo pi^4 = 9.
+    Exhaustive, not sampled.
 
     Only meaningful at the ramified place.  Raises ArithmeticError when a
     certified class has nonunit leading coordinate (the chart is then not
@@ -935,22 +948,24 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
     cs = _validate_coeffs(coeffs)
     if place.kind != "ramified":
         raise ValueError("residue collection is defined at the ramified place")
-    eng = _VecEngine(cs, cls, place, precision)
-    eng.collect = set()
-    complete = eng.run(0, 1)[2]
-    if not complete:
+    eng = _vec_engine(cs, cls, place, precision)
+    ids: set = set()
+    w_max = 0
+    for w, branch, bt in eng.walk(0, 1):
+        if bt.roles[0] != 0:
+            raise ArithmeticError(
+                "certified classes with nonunit leading coordinate exist")
+        # values are pinned mod pi^(precision - w) on a ball, so the ball
+        # representatives cover all residues
+        first = eng.numerators(branch, bt.a, bt.pmap, bt.sol)[0]
+        ids.update(np.unique(first).tolist())
+        w_max = max(w_max, w)
+    if precision - w_max < 5:
         raise NoStabilization(
-            f"enumeration at precision {precision} aborted before covering "
-            "every certified class")
-    if eng.collect_other_branch:
-        raise ArithmeticError(
-            "certified classes with nonunit leading coordinate exist")
-    if precision - eng.collect_wmax < 5:
-        raise NoStabilization(
-            f"certificates pi^{eng.collect_wmax} pin values too shallowly "
+            f"certificates pi^{w_max} pin values too shallowly "
             f"at precision {precision}")
     out = set()
-    for nid in sorted(eng.collect):
+    for nid in sorted(ids):
         value = eng.ring.lift(eng.ring.unpack(nid))
         if valuation(value, place) != 1:
             raise ArithmeticError(
@@ -963,6 +978,20 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
 MAX_ESCALATIONS = 3
 
 
+def _rungs(place: Place, precision: Optional[int],
+           cap: Optional[int]) -> range:
+    """The precision ladder N, N + 2, ...: it starts at `precision`, or at
+    the place's default, holds at most MAX_ESCALATIONS + 1 rungs and none
+    above `cap`.  A range, so a caller can name the first rung it cut."""
+    n = default_precision(place) if precision is None else precision
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    top = n + 2 * MAX_ESCALATIONS
+    if cap is not None:
+        top = min(top, cap)
+    return range(n, top + 1, 2)
+
+
 def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
                  jobs: int = 1, precision: Optional[int] = None,
                  cap: Optional[int] = None) -> PlaceReport:
@@ -970,10 +999,11 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
 
     Good-reduction places answer {0} by purity without enumeration; places
     where theta is a local cube only need solvability.  Everywhere else the
-    attained set must agree between precision N and N+2, escalating at most
-    MAX_ESCALATIONS times before the report is marked unstable.  `precision`
-    overrides the starting N; `cap` bounds escalation, marking the report
-    unstable once the next rung would exceed it.
+    attained set must agree between precision N and N+2 on the ladder of
+    `_rungs`; when no two rungs agree, the report is marked unstable and
+    reads the last rung if that one was complete.  `precision` overrides
+    the starting N; `cap` bounds escalation, cutting the ladder before the
+    first rung above it.
     """
     cs = _validate_coeffs(coeffs)
     if place not in set(bad_places(cs, cls)):
@@ -982,31 +1012,23 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
         solvable = local_solvability(cs, place, cap=cap)
         att = frozenset({InvariantValue(0)}) if solvable else frozenset()
         return PlaceReport(place, solvable, att, 0, 0)
-    n = default_precision(place) if precision is None else precision
-    if n < 1:
-        raise ValueError("precision must be >= 1")
+    # (rung, attained, classes) of the last rung walked, if it was complete
     prev: Optional[tuple] = None
-    result = None
-    for _ in range(MAX_ESCALATIONS + 1):
-        if cap is not None and n > cap:
-            break
+    for n in _rungs(place, precision, cap):
         att, count, complete = _attained(cs, cls, place, n, jobs)
-        if complete and prev is not None and prev[0] == att:
-            result = PlaceReport(
-                place, count > 0,
-                frozenset(InvariantValue(j) for j in att), count, n)
-            break
-        prev = (att, count) if complete else None
-        n += 2
-    if result is None:
-        if prev is None:
-            # not even one complete enumeration: there is nothing to report
-            raise NoStabilization(
-                f"no complete enumeration at {place} within the precision bounds")
-        result = PlaceReport(place, bool(prev[1]),
-                             frozenset(InvariantValue(j) for j in prev[0]),
-                             prev[1], max(n - 2, 0), stable=False)
-    return result
+        if complete and prev is not None and prev[1] == att:
+            return PlaceReport(place, count > 0,
+                               frozenset(InvariantValue(j) for j in att),
+                               count, n)
+        prev = (n, att, count) if complete else None
+    if prev is None:
+        # not even one complete enumeration: there is nothing to report
+        raise NoStabilization(
+            f"no complete enumeration at {place} within the precision bounds")
+    n, att, count = prev
+    return PlaceReport(place, bool(count),
+                       frozenset(InvariantValue(j) for j in att), count, n,
+                       stable=False)
 
 
 def _cube_free(c: int) -> int:
@@ -1025,19 +1047,15 @@ def local_solvability(coeffs: Sequence[int], place: Place,
     Each coefficient is first divided by the largest cube dividing it
     (x_i -> x_i/m is an isomorphism over Q).  A certified class proves yes
     immediately.  No raw residue classes at all proves no, since classes at
-    higher precision refine lower ones.  Raw classes that never certify
-    escalate precision and eventually raise NoStabilization; a cap cuts the
-    escalation short the same way.
+    higher precision refine lower ones.  Raw classes that never certify on
+    the ladder of `_rungs` raise NoStabilization, which names the first
+    rung the ladder cut.
     """
     cs = tuple(_cube_free(c) for c in _validate_coeffs(coeffs))
     if place not in set(bad_places(cs)):
         return True
-    n = default_precision(place) if precision is None else precision
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    for _ in range(MAX_ESCALATIONS + 1):
-        if cap is not None and n > cap:
-            break
+    rungs = _rungs(place, precision, cap)
+    for n in rungs:
         raw = False
         for bt in _batches(_local_model(cs, place, n)):
             if (2 * bt.w < n).any():
@@ -1045,9 +1063,9 @@ def local_solvability(coeffs: Sequence[int], place: Place,
             raw = True
         if not raw:
             return False
-        n += 2
     raise NoStabilization(
-        f"uncertified residue classes persist at {place} below pi^{n}")
+        f"uncertified residue classes persist at {place} below "
+        f"pi^{rungs.start + 2 * len(rungs)}")
 
 
 # --- the verdict ------------------------------------------------------------

@@ -35,6 +35,22 @@ def cube_class_vector(m: Fraction) -> dict[int, int]:
     return {p: e for p, e in vec.items() if e}
 
 
+def _f3_rowspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Echelon basis of the span of `rows` in F_3^n."""
+    basis: list[list[int]] = []
+    for row in rows:
+        v = [x % 3 for x in row]
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x)
+            if v[lead]:
+                c = v[lead] * pow(b[lead], -1, 3)
+                v = [(x - c * y) % 3 for x, y in zip(v, b)]
+        if any(v):
+            basis.append(v)
+    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+    return [tuple(b) for b in basis]
+
+
 class TowerField:
     """k(cbrt(m_1), ..., cbrt(m_r)) with rational radicands.
 
@@ -48,21 +64,13 @@ class TowerField:
         rads = tuple(Fraction(m) for m in radicands)
         if any(m == 0 for m in rads):
             raise ValueError("radicands must be nonzero")
-        # independence mod cubes: exponent vectors must be F_3-independent
+        # independence mod cubes: exponent vectors over the primes of all
+        # radicands must be F_3-independent
         vecs = [cube_class_vector(m) for m in rads]
-        basis: list[dict[int, int]] = []
-        for v in vecs:
-            v = dict(v)
-            for b in basis:
-                lead = min(b)
-                if lead in v:
-                    c = v[lead] * pow(b[lead], -1, 3) % 3
-                    for p, e in b.items():
-                        v[p] = (v.get(p, 0) - c * e) % 3
-                    v = {p: e for p, e in v.items() if e}
-            if not v:
-                raise ValueError("radicands are multiplicatively dependent modulo cubes")
-            basis.append(v)
+        primes = sorted(set().union(*vecs))
+        rows = [[v.get(p, 0) for p in primes] for v in vecs]
+        if len(_f3_rowspace(rows)) < len(rows):
+            raise ValueError("radicands are multiplicatively dependent modulo cubes")
         self.radicands = rads
         self.r = len(rads)
 

@@ -460,40 +460,14 @@ class _BarComplex:
                 yield {k: v for k, v in row.items() if v}
 
     def image_columns(self, d: int) -> list[Vector]:
-        """Images of the basis cochains of C^{d-1} under the differential."""
+        """Images of the basis cochains of C^{d-1} under the differential:
+        the columns of the matrix whose rows `rows(d - 1)` yields."""
         if d == 0:
             return []
-        g = self.group
-        n = self.red.n
-        dom = _tuples(g, d - 1)
-        cod, cod_idx = self._index(d)
-        cols = [[0] * (n * len(cod)) for _ in range(n * len(dom))]
-        dom_idx = {t: i for i, t in enumerate(dom)}
-        for t in cod:
-            block = cod_idx[t] * n
-            act = self.act[t[0]]
-            tail = t[1:]
-            if tail in dom_idx:
-                tb = dom_idx[tail] * n
-                for s in range(n):
-                    arow = act[s]
-                    for j in range(n):
-                        if arow[j]:
-                            cols[tb + j][block + s] += arow[j]
-            sign = -1
-            for i in range(d - 1):
-                m = g.mul(t[i], t[i + 1])
-                if m != 0:
-                    merged = t[:i] + (m,) + t[i + 2:]
-                    mb = dom_idx[merged] * n
-                    for s in range(n):
-                        cols[mb + s][block + s] += sign
-                sign = -sign
-            head = t[:d - 1]
-            if head in dom_idx:
-                hb = dom_idx[head] * n
-                for s in range(n):
-                    cols[hb + s][block + s] += sign
+        cols = [[0] * self.dim(d) for _ in range(self.dim(d - 1))]
+        for r, row in enumerate(self.rows(d - 1)):
+            for k, v in row.items():
+                cols[k][r] = v
         return [tuple(c) for c in cols]
 
 

@@ -41,7 +41,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .calibrate import TowerElement, TowerField, cube_class_vector
+from .calibrate import (TowerElement, TowerField, _f3_rowspace,
+                        cube_class_vector)
 from .eisenstein import ONE, ZETA, EisensteinNumber
 from .exactlin import AbelianGroupStructure, IntMatrix, integer_kernel
 from .groupcohom import (CohomologyResult, FiniteGroup, GIntModule,
@@ -148,22 +149,6 @@ def _validate_coeffs(coeffs: Sequence[int]) -> Coeffs:
     if len(cs) != 4 or not all(isinstance(x, int) and x != 0 for x in cs):
         raise ValueError("need four nonzero integer coefficients")
     return cs  # type: ignore[return-value]
-
-
-def _f3_rowspace(rows: list[Triple]) -> list[Triple]:
-    """Echelon basis of the span of `rows` in F_3^3."""
-    basis: list[list[int]] = []
-    for row in rows:
-        v = [x % 3 for x in row]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                c = v[lead] * pow(b[lead], -1, 3)
-                v = [(x - c * y) % 3 for x, y in zip(v, b)]
-        if any(v):
-            basis.append(v)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return [tuple(b) for b in basis]  # type: ignore[return-value]
 
 
 def _f3_reduced_basis(rows: list[Triple]) -> tuple[Triple, ...]:

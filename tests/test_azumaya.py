@@ -444,6 +444,19 @@ def test_first_chart_residue_collection_is_exhaustive():
         first_chart_residues(CG, CLS, V3, 5)
 
 
+def test_first_chart_residues_of_a_class_with_cube_theta():
+    # theta = 1 is a cube at every place, so the class is never evaluated;
+    # the residues read only the first numerator, the flagship's f
+    one = EisensteinNumber(1)
+    split = AzumayaClass(one, tuple(
+        AzumayaChart(one, ch.numerator, ch.denominator, ch.constant)
+        for ch in CLS.charts))
+    assert is_local_cube(one, V3)
+    got = first_chart_residues(CG, split, V3, 7)
+    assert len(got) == 6
+    assert got == first_chart_residues(CG, CLS, V3, 7)
+
+
 # ------------------------------------------------------------------ place layer
 
 def test_place_report_inert():
@@ -491,6 +504,23 @@ def test_precision_override_and_escalation_cap():
     assert capped.solvable
     with pytest.raises(NoStabilization):
         local_solvability((1, 2, 7, 14), places_over(7)[0], cap=1)
+
+
+def test_ladder_messages_name_where_the_ladder_stopped():
+    # the cap cuts before the first rung, pi^3 at the place over 7
+    with pytest.raises(NoStabilization) as cut:
+        local_solvability((1, 2, 7, 14), places_over(7)[0], cap=1)
+    assert str(cut.value) == ("uncertified residue classes persist at "
+                              "place(7,split,pi=1 + 3*zeta) below pi^3")
+    # rungs 5 and 7 leave raw classes uncertified, and pi^9 is above the cap
+    with pytest.raises(NoStabilization) as cut:
+        local_solvability((1, 3, 3, 3), V3, cap=7)
+    assert str(cut.value) == ("uncertified residue classes persist at "
+                              "place(3,ramified,pi=1 + 2*zeta) below pi^9")
+    with pytest.raises(NoStabilization) as cut:
+        place_report(CG, CLS, V2, cap=1)
+    assert str(cut.value) == ("no complete enumeration at place(2,inert,pi=2) "
+                              "within the precision bounds")
 
 
 # ---------------------------------------------------------------- verdict layer
