@@ -677,7 +677,7 @@ class _VecEngine:
       and one choice of roles share (`_branch`).
     - The numerator stage (`numerators`) evaluates each distinct chart
       numerator on the balls of a batch with the ring's arithmetic on
-      arrays.
+      arrays, one at a time as the caller asks for them.
     - The chart reading (`_eval_batch`) turns numerator values into the
       invariants of the evaluable charts by array lookups in tables built
       once: unit parts reduced to the small invariant-reading ring, its
@@ -806,8 +806,10 @@ class _VecEngine:
             bits |= got
         return tuple(j for j in range(3) if bits >> j & 1), count, True
 
-    def numerators(self, branch, a_id, pmap, sols) -> list:
-        """Per numerator group, the ids of its values on a batch's balls."""
+    def numerators(self, branch, a_id, pmap, sols):
+        """Yields, per numerator group, the ids of its values on a batch's
+        balls, one group at a time: a caller that reads only the first
+        group evaluates no other."""
         ring = self.ring
         model = self.model
         _, _, nsplit, bpows, bpow_elems, _ = branch
@@ -816,7 +818,6 @@ class _VecEngine:
         apow = (ring.one, a_elem, a2, ring.mul(a2, a_elem))
         size = len(pmap)
         spows = {}
-        out = []
         for sterms, bterms, xterms in nsplit:
             # fa-only part folds to one scalar per a
             acc = ring.zero
@@ -838,8 +839,7 @@ class _VecEngine:
                     x = ring.mul(ring.unpack(bpows[beta][pmap]), x)
                 x = ring.mul(ring.mul(cemb, apow[aexp]), x)
                 acc = ring.add(acc, x)
-            out.append(np.broadcast_to(ring.pack(acc), size))
-        return out
+            yield np.broadcast_to(ring.pack(acc), size)
 
     def _eval_batch(self, branch, a_id, pmap, sols) -> Optional[int]:
         """Invariant bits attained on one batch of balls, or None when some
@@ -957,7 +957,7 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
                 "certified classes with nonunit leading coordinate exist")
         # values are pinned mod pi^(precision - w) on a ball, so the ball
         # representatives cover all residues
-        first = eng.numerators(branch, bt.a, bt.pmap, bt.sol)[0]
+        first = next(eng.numerators(branch, bt.a, bt.pmap, bt.sol))
         ids.update(np.unique(first).tolist())
         w_max = max(w_max, w)
     if precision - w_max < 5:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -104,6 +104,27 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+
+    def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in entrywise operation")
+        return IntMatrix(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        """Entrywise sum; `-` is the entrywise difference.  Shapes must agree.
+
+        >>> a = IntMatrix.from_rows([[1, 2]])
+        >>> (a + a).entries, (a - a).entries
+        ((2, 4), (0, 0))
+        >>> a - IntMatrix.zero(2, 1)
+        Traceback (most recent call last):
+        ...
+        ValueError: shape mismatch in entrywise operation
+        """
+        return self._entrywise(other, add)
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, sub)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -422,7 +443,8 @@ def integer_kernel(rows: Iterable[dict[int, int]], ncols: int) -> list[Vector]:
     return red.kernel()
 
 
-def _dense_rows_to_sparse(m: IntMatrix) -> Iterable[dict[int, int]]:
+def sparse_rows(m: IntMatrix) -> Iterable[dict[int, int]]:
+    """The rows of m as sparse {col: entry} maps, as `integer_kernel` takes them."""
     for i in range(m.rows):
         r = m.row(i)
         yield {j: x for j, x in enumerate(r) if x}
@@ -447,10 +469,10 @@ def solve_linear_diophantine(m: IntMatrix, b: Sequence[int]
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
     if all(x == 0 for x in b):
-        return (0,) * n, integer_kernel(_dense_rows_to_sparse(m), n)
+        return (0,) * n, integer_kernel(sparse_rows(m), n)
     # kernel of [M | -b]; a kernel vector (x, t) satisfies M x = t b
     red = ColumnReduction(n + 1)
-    for i, row in enumerate(_dense_rows_to_sparse(m)):
+    for i, row in enumerate(sparse_rows(m)):
         if b[i]:
             row = dict(row)
             row[n] = -b[i]
@@ -565,7 +587,7 @@ def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
     s = len(kernel_vectors)
     kmat = IntMatrix.from_rows([[v[i] for v in kernel_vectors] for i in range(dim)], cols=s)
     # independence: kernel of kmat must be trivial
-    if integer_kernel(_dense_rows_to_sparse(kmat), s):
+    if integer_kernel(sparse_rows(kmat), s):
         raise ValueError("kernel vectors are not Z-linearly independent")
 
     def in_kernel_coords(v: Sequence[int]) -> Vector:

@@ -12,9 +12,11 @@ computation actually consumes: explicit cocycle representatives, coboundary
 solving (degrees one and two, plus normalized degree three), the connecting
 homomorphism of a short exact sequence of modules, invariant submodules with
 the induced quotient-group action, and the two-periodic complex of a cyclic
-group together with the comparison maps into the bar complex.  Both
-resolutions run over one layer of reduced (Smith normal form) coordinates,
-built once per relation lattice.
+group together with the comparison maps into the bar complex.  Each module
+owns one layer of reduced (Smith normal form) coordinates, built once per
+relation lattice, and the action in them.  Every membership test reads
+them: the checks on the action, both resolutions, the exact-sequence checks
+and the invariant submodule.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .exactlin import (
     IntMatrix,
     LatticeEchelon,
     Vector,
-    integer_kernel,
     smith_normal_form,
     solve_linear_diophantine,
+    sparse_rows,
     subquotient_structure,
 )
 
@@ -214,7 +216,10 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> FiniteGroup:
 class GIntModule:
     """Z^rank / relations with a G-action by integer matrices on the ambient.
 
-    The action must fix the relation lattice and be multiplicative modulo it;
+    The module owns its reduced (Smith normal form) coordinates `red` and
+    the action in them, `act`, and every membership test reads them: a
+    vector is zero in the module when its reduced coordinates are.  The
+    action must fix the relation lattice and be multiplicative modulo it;
     both are verified at construction (multiplicativity on generator times
     everything, which propagates).
     """
@@ -235,26 +240,27 @@ class GIntModule:
                 raise ValueError("action matrices must be rank x rank")
         if self.action[0] != IntMatrix.identity(rank):
             raise ValueError("identity must act as the identity matrix")
-        lat = LatticeEchelon(self.relations, rank)
-        for a in self.action:
-            for r in self.relations:
-                if not lat.contains(a.apply(r)):
-                    raise ValueError("action does not preserve the relations")
+        self.red = red = _reduced(rank, self.relations)
+        self._relation_columns = IntMatrix.from_rows(self.relations, cols=rank).transpose()
+        if not all(self.preserves(a) for a in self.action):
+            raise ValueError("action does not preserve the relations")
+        ua = [red.u @ a for a in self.action]
+        self.act = tuple(m @ red.uinv for m in ua)
         for g in group.generators:
-            ag = self.action[g]
             for h in range(group.order):
-                prod_ = ag @ self.action[h]
-                gh = self.action[group.mul(g, h)]
-                if prod_ == gh:
-                    continue
-                for j in range(rank):
-                    diff = [prod_.at(i, j) - gh.at(i, j) for i in range(rank)]
-                    if any(diff) and not lat.contains(diff):
-                        raise ValueError("action is not multiplicative modulo relations")
-        self.relation_lattice = lat
+                if not red.vanishes(self.act[g] @ ua[h] - ua[group.mul(g, h)]):
+                    raise ValueError("action is not multiplicative modulo relations")
 
     def is_zero(self, v: Sequence[int]) -> bool:
-        return self.relation_lattice.contains(v)
+        return not any(self.red.to_red(v))
+
+    def kills(self, m: IntMatrix) -> bool:
+        """Whether every column of m (rank rows) is zero in the module."""
+        return self.red.vanishes(self.red.u @ m)
+
+    def preserves(self, a: IntMatrix) -> bool:
+        """Whether the rank x rank matrix a maps the relations into themselves."""
+        return self.kills(a @ self._relation_columns)
 
 
 def action_from_generators(group: FiniteGroup, rank: int,
@@ -350,9 +356,11 @@ class _Reduced:
     def n(self) -> int:
         return len(self.moduli)
 
-    def conj(self, m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-        """Rows of m in reduced coordinates; m must preserve the relations."""
-        return tuple(map(tuple, (self.u @ m @ self.uinv).to_rows()))
+    def vanishes(self, m: IntMatrix) -> bool:
+        """Whether every column of m, a matrix in reduced coordinates, is zero
+        in the quotient: row k modulo moduli[k]."""
+        return all(not (x % q if q else x)
+                   for k, q in enumerate(self.moduli) for x in m.row(k))
 
     def to_red(self, v: Sequence[int]) -> Vector:
         return tuple(x % m if m else x for x, m in zip(self.u.apply(v), self.moduli))
@@ -400,8 +408,7 @@ def _reduced(rank: int, relations: tuple[Vector, ...]) -> _Reduced:
     if not relations:
         ident = IntMatrix.identity(rank)
         return _Reduced(rank, ident, ident, (0,) * rank)
-    snf = smith_normal_form(IntMatrix.from_rows(
-        [[r[i] for r in relations] for i in range(rank)], cols=len(relations)))
+    snf = smith_normal_form(IntMatrix.from_rows(relations).transpose())
     diag = [snf.d.at(i, i) if i < min(rank, len(relations)) else 0 for i in range(rank)]
     kept = [i for i in range(rank) if diag[i] != 1]
     u = IntMatrix.from_rows([snf.u.row(i) for i in kept], cols=rank)
@@ -415,12 +422,13 @@ def _tuples(group: FiniteGroup, d: int) -> list[tuple[int, ...]]:
 
 
 class _BarComplex:
-    """Sparse normalized bar differentials over reduced coordinates."""
+    """Sparse normalized bar differentials over the module's reduced
+    coordinates."""
 
     def __init__(self, group: FiniteGroup, module: GIntModule):
         self.group = group
-        self.red = _reduced(module.rank, module.relations)
-        self.act = [self.red.conj(a) for a in module.action]
+        self.red = module.red
+        self.act = module.act
 
     def dim(self, d: int) -> int:
         return self.red.n * (self.group.order - 1) ** d
@@ -449,7 +457,7 @@ class _BarComplex:
             act = self.act[t[0]]
             for s in range(n):
                 row: dict[int, int] = {}
-                arow = act[s]
+                arow = act.row(s)
                 for j in range(n):
                     a = arow[j]
                     if a:
@@ -559,19 +567,11 @@ class ModuleSES:
             raise ValueError("A->B map has wrong shape")
         if map_bc.rows != c.rank or map_bc.cols != b.rank:
             raise ValueError("B->C map has wrong shape")
-        comp = map_bc @ map_ab
-        for j in range(a.rank):
-            if not c.is_zero(comp.column(j)):
-                raise ValueError("composition A->B->C is nonzero")
+        if not c.kills(map_bc @ map_ab):
+            raise ValueError("composition A->B->C is nonzero")
         # injectivity of A->B modulo relations
-        width = a.rank + len(b.relations)
-        rows = []
-        for i in range(b.rank):
-            rows.append([map_ab.at(i, j) for j in range(a.rank)]
-                        + [r[i] for r in b.relations])
-        for v in integer_kernel(({j: x for j, x in enumerate(row) if x} for row in rows),
-                                width):
-            if not a.is_zero(v[:a.rank]):
+        for v in b.red.kernel(sparse_rows(b.red.u @ map_ab), a.rank):
+            if not a.is_zero(v):
                 raise ValueError("A->B is not injective modulo relations")
         # surjectivity of B->C modulo relations
         for i in range(c.rank):
@@ -580,18 +580,10 @@ class ModuleSES:
                 raise ValueError("B->C is not surjective modulo relations")
         # G-equivariance of both maps
         for g in a.group.generators:
-            left = b.action[g] @ map_ab
-            right = map_ab @ a.action[g]
-            for j in range(a.rank):
-                diff = [left.at(i, j) - right.at(i, j) for i in range(b.rank)]
-                if not b.is_zero(diff):
-                    raise ValueError("A->B is not equivariant")
-            left = c.action[g] @ map_bc
-            right = map_bc @ b.action[g]
-            for j in range(b.rank):
-                diff = [left.at(i, j) - right.at(i, j) for i in range(c.rank)]
-                if not c.is_zero(diff):
-                    raise ValueError("B->C is not equivariant")
+            if not b.kills(b.action[g] @ map_ab - map_ab @ a.action[g]):
+                raise ValueError("A->B is not equivariant")
+            if not c.kills(c.action[g] @ map_bc - map_bc @ b.action[g]):
+                raise ValueError("B->C is not equivariant")
         self.a, self.b, self.c = a, b, c
         self.map_ab, self.map_bc = map_ab, map_bc
 
@@ -650,34 +642,19 @@ def invariants_module(module: GIntModule, subgroup: Iterable[int]) -> Invariants
         raise ValueError("subgroup is not normal")
     rank = module.rank
     rels = module.relations
-    nontriv = [x for x in h if x != 0]
-    if not nontriv:
-        basis = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    else:
-        width = rank + len(rels) * len(nontriv)
-        rows = []
-        for k, x in enumerate(nontriv):
-            a = module.action[x]
-            for i in range(rank):
-                row = {j: a.at(i, j) for j in range(rank) if a.at(i, j)}
-                row[i] = row.get(i, 0) - 1
-                for ri, r in enumerate(rels):
-                    col = rank + (k * len(rels) + ri)
-                    if r[i]:
-                        row[col] = -r[i]
-                rows.append({kk: v for kk, v in row.items() if v})
-        ker = integer_kernel(rows, width)
-        lat = LatticeEchelon([v[:rank] for v in ker], rank)
-        basis = [tuple(v) for v in lat.pivot_cols.values()]
+    red = module.red
+    # the preimage of M^H: v with u (a_x - 1) v = 0 in reduced coordinates
+    # for every x in H, the blocks of rows stacked
+    ident = IntMatrix.identity(rank)
+    rows = [row for x in h if x != 0
+            for row in sparse_rows(red.u @ (module.action[x] - ident))]
+    basis = red.kernel(rows, rank)
     inv_rank = len(basis)
     quotient, coset_of = g.quotient(h)
     if inv_rank == 0:
-        m = GIntModule(quotient, 0, [], [IntMatrix.from_rows([], cols=0)
-                                         for _ in range(quotient.order)])
-        return InvariantsModule(m, IntMatrix.from_rows([[] for _ in range(rank)], cols=0),
-                                quotient, coset_of)
-    zb = IntMatrix.from_rows([[basis[j][i] for j in range(inv_rank)] for i in range(rank)],
-                             cols=inv_rank)
+        m = GIntModule(quotient, 0, [], [IntMatrix.identity(0)] * quotient.order)
+        return InvariantsModule(m, IntMatrix.zero(rank, 0), quotient, coset_of)
+    zb = IntMatrix.from_rows(basis).transpose()
 
     def coords(v: Sequence[int]) -> Vector:
         sol = solve_linear_diophantine(zb, list(v))
@@ -693,10 +670,7 @@ def invariants_module(module: GIntModule, subgroup: Iterable[int]) -> Invariants
     new_action = []
     for q in range(quotient.order):
         a = module.action[reps[q]]
-        cols = [coords(a.apply(b)) for b in basis]
-        new_action.append(IntMatrix.from_rows(
-            [[cols[j][i] for j in range(inv_rank)] for i in range(inv_rank)],
-            cols=inv_rank))
+        new_action.append(IntMatrix.from_rows([coords(a.apply(b)) for b in basis]).transpose())
     m = GIntModule(quotient, inv_rank, new_rels, new_action)
     return InvariantsModule(m, zb, quotient, coset_of)
 
@@ -714,45 +688,37 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
     rank = module.rank
     if tau.rows != rank or tau.cols != rank:
         raise ValueError("action matrix has wrong shape")
-    lat = module.relation_lattice
-    for r in module.relations:
-        if not lat.contains(tau.apply(r)):
-            raise ValueError("tau does not preserve the relations")
-    power = IntMatrix.identity(rank)
-    norm_m = IntMatrix.zero(rank, rank)
+    if not module.preserves(tau):
+        raise ValueError("tau does not preserve the relations")
+    # the rows u tau^k, so that the reduced matrices below are u m uinv
+    red = module.red
+    power = red.u
+    norm_rows = IntMatrix.zero(red.n, rank)
     for _ in range(n):
-        norm_m = IntMatrix.from_rows([[norm_m.at(a, b) + power.at(a, b)
-                                       for b in range(rank)] for a in range(rank)])
-        power = tau @ power
-    ident = IntMatrix.identity(rank)
-    for j in range(rank):
-        diff = [power.at(a, j) - ident.at(a, j) for a in range(rank)]
-        if not module.is_zero(diff):
-            raise ValueError("tau^n is not the identity on the quotient")
-    delta = IntMatrix.from_rows([[tau.at(a, b) - ident.at(a, b) for b in range(rank)]
-                                 for a in range(rank)])
+        norm_rows = norm_rows + power
+        power = power @ tau
+    if not red.vanishes(power - red.u):
+        raise ValueError("tau^n is not the identity on the quotient")
     if i < 0:
         raise ValueError("degree must be nonnegative")
 
-    red = _reduced(rank, module.relations)
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
     # H^0 = ker(tau - 1); odd i: ker(N)/im(tau - 1); even i > 0: ker(tau - 1)/im(N)
-    rd, rn = red.conj(delta), red.conj(norm_m)
+    rd = (red.u @ tau - red.u) @ red.uinv
+    rn = norm_rows @ red.uinv
     kmat, imat = (rn, rd) if i % 2 else (rd, rn)
-    kernel = red.kernel(({j: x for j, x in enumerate(r) if x} for r in kmat), red.n)
-    image = [tuple(r[j] for r in imat) for j in range(red.n)] if i else []
+    kernel = red.kernel(sparse_rows(kmat), red.n)
+    image = [imat.column(j) for j in range(red.n)] if i else []
     structure, reps, _ = subquotient_structure(kernel, image + red.torsion_columns(red.n))
     amb_reps = [red.to_amb(r) for r in reps]
 
     def sigma(a: int, v: Vector) -> Vector:
+        # v + tau v + ... + tau^(a-1) v
         acc = [0] * rank
-        p = IntMatrix.identity(rank)
         for _ in range(a):
-            w = p.apply(v)
-            for k in range(rank):
-                acc[k] += w[k]
-            p = tau @ p
+            acc = [x + y for x, y in zip(acc, v)]
+            v = tau.apply(v)
         return tuple(acc)
 
     zero = (0,) * rank

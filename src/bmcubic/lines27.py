@@ -286,10 +286,10 @@ def _picard_module(group: FiniteGroup,
     """Z^27 modulo the Gram kernel, the lines permuted by `perms`."""
     action = []
     for perm in perms:
-        rows = [[0] * 27 for _ in range(27)]
+        entries = [0] * (27 * 27)
         for i, pi in enumerate(perm):
-            rows[pi][i] = 1
-        action.append(IntMatrix.from_rows(rows))
+            entries[27 * pi + i] = 1
+        action.append(IntMatrix(27, 27, tuple(entries)))
     return GIntModule(group, 27, line_configuration().relations, action)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmcubic.exactlin import ColumnReduction, IntMatrix
+from bmcubic.exactlin import ColumnReduction, IntMatrix, LatticeEchelon
 from bmcubic.groupcohom import (
     _BarComplex,
     Cochain,
@@ -75,6 +75,39 @@ def test_module_rejects_non_generator_breaking_a_relation():
     assert Z3.generators == (1,)
     with pytest.raises(ValueError, match="preserve the relations"):
         GIntModule(Z3, 2, [(1, -1)], [ident, ident, bad])
+
+
+small_entry = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def torsion_presentations(draw):
+    """(rank, relations, vectors): rank <= 4, up to three relations with
+    entries in -6..6, and vectors that are often in the relation lattice."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    rels = draw(st.lists(st.tuples(*[small_entry] * rank), max_size=3))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        coeffs = draw(st.lists(small_entry, min_size=len(rels), max_size=len(rels)))
+        v = [sum(c * r[i] for c, r in zip(coeffs, rels)) for i in range(rank)]
+        if draw(st.booleans()):
+            v[draw(st.integers(min_value=0, max_value=rank - 1))] += draw(small_entry)
+        vectors.append(tuple(v))
+    return rank, rels, vectors
+
+
+@given(torsion_presentations())
+@settings(max_examples=150)
+def test_membership_matches_lattice_echelon(case):
+    # the module's test reads Smith coordinates; LatticeEchelon is an
+    # independent column echelon of the same relations
+    rank, rels, vectors = case
+    m = trivial_module(Z2, rank, rels)
+    lattice = LatticeEchelon(rels, rank)
+    for v in vectors:
+        assert m.is_zero(v) == lattice.contains(v)
+    cols = IntMatrix.from_rows(vectors).transpose()
+    assert m.kills(cols) == all(lattice.contains(v) for v in vectors)
 
 
 # ------------------------------------------------------------------ groups
@@ -326,6 +359,45 @@ def test_ses_validation():
         ModuleSES(a, b, c,
                   IntMatrix.from_rows([[1], [0]], cols=1),
                   IntMatrix.from_rows([[0, 2]], cols=2))
+
+
+def test_ses_and_cyclic_rejections_name_the_failed_check():
+    triv = IntMatrix.identity(1)
+    neg = IntMatrix.from_rows([[-1]])
+    zero_map = IntMatrix.from_rows([[0]])
+    a = trivial_module(Z3)
+    with pytest.raises(ValueError, match="composition A->B->C is nonzero"):
+        ModuleSES(a, trivial_module(Z3, rank=2), a,
+                  IntMatrix.from_rows([[1], [0]], cols=1),
+                  IntMatrix.from_rows([[1, 0]], cols=2))
+    with pytest.raises(ValueError, match="A->B is not injective modulo relations"):
+        # Z -> Z/2 -> 0
+        ModuleSES(a, trivial_module(Z3, 1, [(2,)]), trivial_module(Z3, 1, [(1,)]),
+                  triv, triv)
+    with pytest.raises(ValueError, match="B->C is not surjective modulo relations"):
+        ModuleSES(a, trivial_module(Z3, rank=2), a,
+                  IntMatrix.from_rows([[1], [0]], cols=1),
+                  IntMatrix.from_rows([[0, 2]], cols=2))
+    sign = GIntModule(Z2, 1, [], [triv, neg])
+    zero_c = trivial_module(Z2, 1, [(1,)])
+    with pytest.raises(ValueError, match="A->B is not equivariant"):
+        # Z trivial -> Z with the sign action -> 0
+        ModuleSES(trivial_module(Z2), sign, zero_c, triv, zero_map)
+    with pytest.raises(ValueError, match="B->C is not equivariant"):
+        # 0 -> Z trivial -> Z with the sign action
+        ModuleSES(trivial_module(Z2, rank=0), trivial_module(Z2), sign,
+                  IntMatrix.from_rows([[]], cols=0), triv)
+    # Z/2 trivial -> Z/2 with the sign action -> 0 is equivariant only
+    # modulo the torsion relation, and is accepted
+    ses = ModuleSES(trivial_module(Z2, 1, [(2,)]),
+                    GIntModule(Z2, 1, [(2,)], [triv, neg]),
+                    trivial_module(Z2, rank=0), triv, IntMatrix.from_rows([], cols=1))
+    assert ses.pull_ab((3,)) is not None
+    with pytest.raises(ValueError, match="tau does not preserve the relations"):
+        cyclic_cohomology(IntMatrix.from_rows([[1, 0], [0, 2]]), 3,
+                          trivial_module(Z3, 2, [(1, -1)]), 1)
+    with pytest.raises(ValueError, match="tau\\^n is not the identity on the quotient"):
+        cyclic_cohomology(A2_ROTATION, 2, trivial_module(Z3, rank=2), 1)
 
 
 # -------------------------------------------------------------- invariants
