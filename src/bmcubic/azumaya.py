@@ -34,8 +34,13 @@ the size of the residue field); over 3 at N = 7 that is 59,049 balls for
 the numerator stage that evaluates the chart numerators on them, and the
 chart reading that turns numerator values into invariants; the residue
 collector `first_chart_residues` reads the numerator stage without
-evaluating the class.  The point listing, the solvability test and the scalar reference
-evaluator keep the walk over classes, which is the oracle.
+evaluating the class.  The arithmetic stays exact but reduces each value
+once: the numerator stage sums raw ring products of reduced factors and
+reduces every numerator value before packing it, and the chart reading
+looks each value up in one table per chart group and stratum, built on
+the first reading, so the residue collector never builds one.  The point
+listing, the solvability test and the scalar reference evaluator keep the
+walk over classes, which is the oracle.
 
 Per-place invariant sets are accepted only when enumeration at precision
 N and N+2 attains the same set on one precision ladder (`_rungs`),
@@ -451,6 +456,11 @@ def _batches(model: _LocalModel,
         rcnt, roff, rflat = roots[sj]
         dvb = model.dval[fb][b_pool]
         for a in a_pool.tolist():
+            # every pool has partial valuation at least w, so when the
+            # leading or the first free coordinate attains w, every tuple
+            # has least partial valuation w and the stratum filter is a no-op
+            keep_all = stratum is None or stratum in (dv_one,
+                                                      int(model.dval[fa][a]))
             s1 = ring.add(base, ring.unpack(int(model.term[fa][a])))
             rhs = ring.pack(ring.add(ring.neg(s1), neg_tb))
             cnt = rcnt[rhs]
@@ -476,7 +486,7 @@ def _batches(model: _LocalModel,
                 dv[fa] = model.dval[fa][a]
                 dv[fb] = dvb[pmap]
                 dv[sj] = model.dval[sj][sols]
-                if stratum is not None or keys is not None:
+                if keys is not None or not keep_all:
                     w = dv.min(axis=0)
                     keep = w == stratum if keys is None else keys[w, a]
                     pmap, sols, dv = pmap[keep], sols[keep], dv[:, keep]
@@ -572,11 +582,12 @@ class _ClassEvaluator:
             monos.append(value)
         out = []
         for terms in self.num_terms:
-            acc = None
+            # a raw sum of products of reduced factors, reduced once
+            acc = ring.zero
             for cemb, k in terms:
-                term = cemb if monos[k] is None else ring.mul(cemb, monos[k])
-                acc = term if acc is None else ring.add(acc, term)
-            out.append(acc)
+                acc = ring.add_raw(acc, cemb if monos[k] is None
+                                   else ring.mul_raw(cemb, monos[k]))
+            out.append(ring.reduce(acc))
         return out
 
     def js_at(self, coords, w: int) -> int:
@@ -676,12 +687,20 @@ class _VecEngine:
       and pairs every batch with the data that all batches of one stratum
       and one choice of roles share (`_branch`).
     - The numerator stage (`numerators`) evaluates each distinct chart
-      numerator on the balls of a batch with the ring's arithmetic on
-      arrays, one at a time as the caller asks for them.
-    - The chart reading (`_eval_batch`) turns numerator values into the
-      invariants of the evaluable charts by array lookups in tables built
-      once: unit parts reduced to the small invariant-reading ring, its
-      multiplication table and the invariant table.
+      numerator on the balls of a batch as a polynomial in the solved
+      coordinate s, sum over delta of C_delta(b) s^delta.  The coefficients
+      C_delta are evaluated once per a over the pool of b and spread to
+      the balls; the powers of s are gathered from the ring's component
+      tables.  Sums are accumulated with the ring's raw operations, each
+      product with two reduced factors, and every numerator value is
+      reduced once, before it is packed.
+    - The chart reading (`_eval_batch`) reads the invariant of each chart
+      group from a table over ring ids, one gather per group and ball:
+      `reading()` maps a numerator value to its invariant bit 1 << j, or
+      to 0 when its valuation is above the evaluability threshold of the
+      stratum.  The tables are built on the first reading, so the residue
+      collector `first_chart_residues`, which reads no chart, never builds
+      them.
 
     Ring elements are addressed by packed id, as in `_LocalModel`.  An
     evaluable chart has numerator and denominator valuation at most
@@ -696,6 +715,7 @@ class _VecEngine:
 
     def __init__(self, coeffs: Coeffs, cls: AzumayaClass, place: Place,
                  precision: int):
+        self.cls = cls
         self.place = place
         self.precision = precision
         self.m_v = unit_resolution(place)
@@ -707,74 +727,93 @@ class _VecEngine:
         self.model = model = _local_model(coeffs, place, precision)
         for w in model.strata:
             model.stratum(w)
+        # the components of every element, read by gathers
+        self.elems = ring.unpack(model.ids)
         self.num_groups: list[tuple] = []
-        num_index: dict[tuple, int] = {}
+        self.num_index: dict[tuple, int] = {}
         for ch in cls.charts:
-            if ch.numerator not in num_index:
-                num_index[ch.numerator] = len(self.num_groups)
+            if ch.numerator not in self.num_index:
+                self.num_index[ch.numerator] = len(self.num_groups)
                 self.num_groups.append(ch.numerator)
         self.split = is_local_cube(cls.theta, place)
-        if self.split:
-            return
+        self._reading = None
+
+    def reading(self) -> tuple:
+        """(cgroups, tables), built on the first call.
+
+        The invariant map kills cubes, so a denominator x_d^3 never moves
+        the value of a chart, only its evaluability.  Charts therefore
+        collapse into groups keyed by numerator and constant; cgroups[g] =
+        (numerator index, denominators the group may certify through).
+        tables[w][g][id] is the invariant bit 1 << j of a value id of the
+        group's numerator at stratum w, or 0 when the value's valuation is
+        above N - w - m_v.
+        """
+        if self._reading is not None:
+            return self._reading
+        place, ring, model = self.place, self.ring, self.model
         lo = residue_ring(place, self.m_v)
-        self.ulow = np.zeros(ring.size, dtype=np.int64)
-        for v in range(precision):
+        # each value's unit part mod pi^m_v; exact where v <= N - m_v
+        ulow = np.zeros(ring.size, dtype=np.int64)
+        for v in range(self.precision):
             at_v = np.flatnonzero(model.val == v)
             u = ring.unit_part(ring.unpack(at_v), v)
-            self.ulow[at_v] = lo.pack(
-                residue_ring(place, precision - v).reduce_to(u, lo))
-        lo_ids = np.arange(lo.size, dtype=np.int64)
-        self.lomul = lo.pack(lo.mul(lo.unpack(lo_ids[:, None]),
-                                    lo.unpack(lo_ids[None, :])))
-        self.jtab = np.full((3, lo.size), -1, dtype=np.int64)
-        for (v, pu), j in invariant_table(cls.theta, place).items():
-            self.jtab[v, pu] = j
-        # The invariant map kills cubes, so a denominator x_d^3 never moves
-        # the value of a chart, only its evaluability.  Charts therefore
-        # collapse into groups keyed by numerator and constant, each group
-        # carrying the set of denominators it may certify through.
+            ulow[at_v] = lo.pack(
+                residue_ring(place, self.precision - v).reduce_to(u, lo))
+        jtab = np.full((3, lo.size), -1, dtype=np.int64)
+        for (v, pu), j in invariant_table(self.cls.theta, place).items():
+            jtab[v, pu] = j
         grouped: dict[tuple, set] = {}
-        for ch in cls.charts:
+        for ch in self.cls.charts:
             loc = localize(ch.constant, place, self.m_v)
-            key = (num_index[ch.numerator], loc.valuation, lo.pack(loc.unit))
+            key = (self.num_index[ch.numerator], loc.valuation,
+                   lo.pack(loc.unit))
             grouped.setdefault(key, set()).add(ch.denominator)
-        self.cgroups = tuple(
-            (ni, cv, cu, tuple(sorted(dens)))
-            for (ni, cv, cu), dens in sorted(grouped.items()))
-        self.bit_of = np.array([1, 2, 4, 0], dtype=np.int64)
-        self.popcnt = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.int64)
+        keys = sorted(grouped)
+        tables = {}
+        for w in model.strata:
+            ok = np.flatnonzero(model.val <= self.precision - self.m_v - w)
+            tables[w] = []
+            for _, cv, cu in keys:
+                units = lo.pack(lo.mul(lo.unpack(cu), lo.unpack(ulow[ok])))
+                j = jtab[(model.val[ok] + cv) % 3, units]
+                if (j < 0).any():
+                    raise ArithmeticError(
+                        f"invariant table misses a unit at {place}")
+                table = np.zeros(ring.size, dtype=np.uint8)
+                table[ok] = 1 << j
+                tables[w].append(table)
+        cgroups = tuple((key[0], tuple(sorted(grouped[key]))) for key in keys)
+        self._reading = (cgroups, tables)
+        return self._reading
 
     def _split_numerator(self, numerator, fa: int, fb: int, sj: int):
-        """Sort monomials by which free coordinates they touch.
-
-        The leading coordinate is 1, so its exponent drops out; what is
-        left is a scalar part (fa powers only, folded per a), a part over
-        the free block, and a rest involving the solved coordinate.
-        """
-        sterms, bterms, xterms = [], [], []
+        """The numerator as a polynomial in the solved coordinate over the
+        free ones: per power delta of x_sj, ascending, (delta, whether the
+        coefficient involves x_fb, ((beta, ((alpha, c), ...)), ...)) for the
+        monomials c x_fa^alpha x_fb^beta x_sj^delta.  The leading
+        coordinate is 1, so its exponent drops out."""
+        folded: dict = {}
         for mono, c in numerator:
-            if c.is_zero:
-                continue
-            cemb = self.ring.embed(c)
-            beta, delta = mono[fb], mono[sj]
-            if beta == 0 and delta == 0:
-                sterms.append((mono[fa], cemb))
-            elif delta == 0:
-                bterms.append((mono[fa], beta, cemb))
-            else:
-                xterms.append((mono[fa], beta, delta, cemb))
-        return sterms, bterms, xterms
+            if not c.is_zero:
+                folded.setdefault(mono[sj], {}).setdefault(mono[fb], []).append(
+                    (mono[fa], self.ring.embed(c)))
+        return tuple(
+            (delta, max(by_beta) > 0,
+             tuple((beta, tuple(terms)) for beta, terms in sorted(by_beta.items())))
+            for delta, by_beta in sorted(folded.items()))
 
     def _branch(self, w, roles, b_pool):
         """Per-stratum, per-leading-coordinate data over the pool of b."""
         _, fa, fb, sj = roles
         nsplit = [self._split_numerator(num, fa, fb, sj)
                   for num in self.num_groups]
-        bpows = (None,) + tuple(self.model.power(b_pool, e) for e in (1, 2, 3))
-        bpow_elems = (None,) + tuple(self.ring.unpack(ids) for ids in bpows[1:])
+        bpow = (None,) + tuple(
+            self.ring.take(self.elems, self.model.power(b_pool, e))
+            for e in (1, 2, 3))
         # denominator data over the free block, in chart rank
         vdb = 3 * self.model.val[b_pool]
-        return (w, roles), b_pool, nsplit, bpows, bpow_elems, vdb
+        return (w, roles), b_pool, nsplit, bpow, vdb
 
     def walk(self, part: int, nparts: int):
         """(w, branch, batch) for every batch of balls in slice `part` of
@@ -811,77 +850,64 @@ class _VecEngine:
         balls, one group at a time: a caller that reads only the first
         group evaluates no other."""
         ring = self.ring
-        model = self.model
-        _, _, nsplit, bpows, bpow_elems, _ = branch
+        _, _, nsplit, bpow, _ = branch
         a_elem = ring.unpack(a_id)
         a2 = ring.mul(a_elem, a_elem)
         apow = (ring.one, a_elem, a2, ring.mul(a2, a_elem))
         size = len(pmap)
-        spows = {}
-        for sterms, bterms, xterms in nsplit:
-            # fa-only part folds to one scalar per a
+        spow = {}
+        for poly in nsplit:
             acc = ring.zero
-            for aexp, cemb in sterms:
-                acc = ring.add(acc, ring.mul(cemb, apow[aexp]))
-            # block part, evaluated once over b_pool then spread to pairs
-            block = None
-            for aexp, beta, cemb in bterms:
-                x = ring.mul(ring.mul(cemb, apow[aexp]), bpow_elems[beta])
-                block = x if block is None else ring.add(block, x)
-            if block is not None:
-                acc = ring.add(ring.unpack(ring.pack(block)[pmap]), acc)
-            # remaining terms touch the solved coordinate
-            for aexp, beta, delta, cemb in xterms:
-                if delta not in spows:
-                    spows[delta] = ring.unpack(model.power(sols, delta))
-                x = spows[delta]
-                if beta:
-                    x = ring.mul(ring.unpack(bpows[beta][pmap]), x)
-                x = ring.mul(ring.mul(cemb, apow[aexp]), x)
-                acc = ring.add(acc, x)
-            yield np.broadcast_to(ring.pack(acc), size)
+            for delta, over_b, by_beta in poly:
+                # C_delta(a, b) = sum over beta of K_beta(a) b^beta, raw
+                coef = ring.zero
+                for beta, terms in by_beta:
+                    k = ring.zero
+                    for alpha, cemb in terms:
+                        k = ring.add(k, ring.mul(cemb, apow[alpha]))
+                    coef = ring.add_raw(
+                        coef, ring.mul_raw(k, bpow[beta]) if beta else k)
+                if delta:
+                    if over_b:
+                        coef = ring.take(ring.reduce(coef), pmap)
+                    if delta not in spow:
+                        spow[delta] = ring.take(
+                            self.elems, self.model.power(sols, delta))
+                    coef = ring.mul_raw(coef, spow[delta])
+                elif over_b:
+                    coef = ring.take(coef, pmap)
+                acc = ring.add_raw(acc, coef)
+            yield np.broadcast_to(ring.pack(ring.reduce(acc)), size)
 
     def _eval_batch(self, branch, a_id, pmap, sols) -> Optional[int]:
         """Invariant bits attained on one batch of balls, or None when some
         ball of it has no evaluable chart."""
         ring = self.ring
         model = self.model
-        (w, (i0, fa, fb, sj)), b_pool, _, _, _, vdb = branch
+        (w, (i0, fa, fb, sj)), b_pool, _, _, vdb = branch
         limit = self.precision - self.m_v - w
-        size = len(pmap)
-        jn_list, okn_list = [], []
-        for nid in self.numerators(branch, a_id, pmap, sols):
-            vn = model.val[nid]
-            okn_list.append(vn <= limit)
-            jn_list.append((vn, self.ulow[nid]))
-        acc_bits = np.zeros(size, dtype=np.int64)
-        anyeval = np.zeros(size, dtype=bool)
+        cgroups, tables = self.reading()
+        nids = list(self.numerators(branch, a_id, pmap, sols))
+        acc_bits = np.zeros(len(pmap), dtype=np.uint8)
         vds = None
-        for ni, cv, cu, dens in self.cgroups:
-            okn = okn_list[ni]
-            if not okn.any():
-                continue
-            okd = False
-            for d in dens:
-                if d == i0 or d == fa:
-                    dv = 0 if d == i0 else 3 * int(model.val[a_id])
-                    okd = okd | (dv <= limit)
-                elif d == fb:
-                    okd = okd | (vdb[pmap] <= limit)
-                else:
-                    if vds is None:
-                        vds = model.val[model.cube[sols]]
-                    okd = okd | (vds <= limit)
-                if isinstance(okd, np.ndarray) and okd.all():
-                    break
-            okg = okn & okd
-            if not okg.any():
-                continue
-            vn, un = jn_list[ni]
-            jn = self.jtab[(vn + cv) % 3, self.lomul[cu][un]]
-            acc_bits |= self.bit_of[np.where(okg, jn, 3)]
-            anyeval |= okg
-        bad = self.popcnt[acc_bits] > 1
+        for (ni, dens), table in zip(cgroups, tables[w]):
+            bits = table[nids[ni]]
+            # x_i0 = 1 has valuation 0, so a group that may certify through
+            # it is evaluable exactly where its numerator is
+            if i0 not in dens:
+                okd = False
+                for d in dens:
+                    if d == fa:
+                        okd = okd | (3 * int(model.val[a_id]) <= limit)
+                    elif d == fb:
+                        okd = okd | (vdb[pmap] <= limit)
+                    else:
+                        if vds is None:
+                            vds = model.val[model.cube[sols]]
+                        okd = okd | (vds <= limit)
+                bits = bits * okd
+            acc_bits |= bits
+        bad = acc_bits & (acc_bits - 1) != 0
         if bad.any():
             i = int(bad.argmax())
             coords = [ring.one] * 4
@@ -890,7 +916,7 @@ class _VecEngine:
             coords[sj] = ring.unpack(int(sols[i]))
             raise ChartDisagreement(
                 f"charts disagree at {tuple(coords)} ({self.place})")
-        if not anyeval.all():
+        if not acc_bits.all():
             return None
         return int(np.bitwise_or.reduce(acc_bits))
 
@@ -908,8 +934,11 @@ def _attained_worker(payload):
 
 def _attained(coeffs: Coeffs, cls: AzumayaClass, place: Place, precision: int,
               jobs: int) -> tuple[Optional[frozenset], int, bool]:
-    # prebuild shared tables before forking so workers inherit them
-    _vec_engine(coeffs, cls, place, precision)
+    # build the engine and its reading tables before forking, so that
+    # workers inherit them
+    eng = _vec_engine(coeffs, cls, place, precision)
+    if not eng.split:
+        eng.reading()
     payloads = [(coeffs, cls, place, precision, k, max(jobs, 1))
                 for k in range(max(jobs, 1))]
     if jobs <= 1:

@@ -344,14 +344,45 @@ def _integral_valuation(a: int, b: int, place: Place) -> int:
 
 # --- residue rings -----------------------------------------------------------
 
+def _mod(x, m):
+    """x mod m by floor division: exactly x % m for ints and int64 arrays,
+    and cheaper than numpy's remainder on arrays.  The pair rings' `reduce`
+    spells it out, which saves two calls per scalar operation."""
+    return x - x // m * m
+
+
 class _RingBase:
     """Common interface: elements are ints (split) or int pairs, numbered
     0..size-1 by pack in the order of elements().  The arithmetic, pack,
-    unpack, reduce_to and unit_part also act elementwise on integer arrays.
+    unpack, reduce_to and unit_part also act elementwise on integer arrays,
+    and take(e, ids) gathers the entries ids of such an array element.
+
+    Every element has one canonical (reduced) representative, and every
+    operation but the raw ones returns it.  `mul_raw` and `add_raw` skip
+    the reduction, and `reduce` makes canonical any representation of an
+    element, whatever the sign or size of its components, so a sum of
+    products can be reduced once.  A raw product must have two reduced
+    factors; only sums stay unreduced.  A reduced component is below the
+    ring's largest modulus m, which is at most the ring size, so a raw
+    product is below 3 m^2 in absolute value: about 10^14 at
+    `azumaya._VecEngine.SIZE_CAP`.  On int64 arrays a sum of thousands of
+    such products stays below 2^63, while a product with an unreduced
+    factor could overflow.
     """
 
     place: Place
     precision: int
+
+    def mul(self, e1, e2):
+        return self.reduce(self.mul_raw(e1, e2))
+
+    def add(self, e1, e2):
+        return self.reduce(self.add_raw(e1, e2))
+
+    def reduce_to(self, e, target: "_RingBase"):
+        """The residue of e in a ring of the same place and another
+        precision."""
+        return target.reduce(e)
 
     def embed(self, x: EisensteinNumber):
         """Residue of x, which must have valuation >= 0 at the place."""
@@ -374,9 +405,6 @@ class _RingBase:
             base = self.mul(base, base)
             n >>= 1
         return out
-
-    def neg(self, e):
-        raise NotImplementedError
 
     def units(self) -> Iterator:
         for e in self.elements():
@@ -429,14 +457,17 @@ class _SplitRing(_RingBase):
         den = pow(den, k, self.modulus) * d % self.modulus
         return num * pow(den, -1, self.modulus) % self.modulus
 
-    def mul(self, e1, e2):
-        return e1 * e2 % self.modulus
+    def reduce(self, e):
+        return _mod(e, self.modulus)
 
-    def add(self, e1, e2):
-        return (e1 + e2) % self.modulus
+    def mul_raw(self, e1, e2):
+        return e1 * e2
+
+    def add_raw(self, e1, e2):
+        return e1 + e2
 
     def neg(self, e):
-        return -e % self.modulus
+        return self.reduce(-e)
 
     def inv(self, e):
         return pow(e, -1, self.modulus)
@@ -449,10 +480,7 @@ class _SplitRing(_RingBase):
     def unit_part(self, e, v: int):
         """e / pi^v for v <= valuation(e), an element at precision N - v."""
         p = self.place.p
-        return e // p ** v * self._cinv[v] % p ** (self.precision - v)
-
-    def reduce_to(self, e, target: "_SplitRing"):
-        return e % target.modulus
+        return _mod(e // p ** v * self._cinv[v], p ** (self.precision - v))
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
@@ -462,6 +490,9 @@ class _SplitRing(_RingBase):
 
     def unpack(self, k):
         return k
+
+    def take(self, e, ids):
+        return e[ids]
 
     def lift(self, e) -> EisensteinNumber:
         return EisensteinNumber(e)
@@ -486,21 +517,26 @@ class _InertRing(_RingBase):
         dinv = pow(d, -1, self.modulus)
         return (a // pk * dinv % self.modulus, b // pk * dinv % self.modulus)
 
-    def mul(self, e1, e2):
+    def reduce(self, e):
+        a, b = e
+        m = self.modulus
+        return (a - a // m * m, b - b // m * m)
+
+    def mul_raw(self, e1, e2):
         a1, b1 = e1
         a2, b2 = e2
-        m = self.modulus
-        return ((a1 * a2 - b1 * b2) % m, (a1 * b2 + b1 * a2 - b1 * b2) % m)
+        # zeta^2 = -1 - zeta
+        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * (a2 - b2))
 
-    def add(self, e1, e2):
-        return ((e1[0] + e2[0]) % self.modulus, (e1[1] + e2[1]) % self.modulus)
+    def add_raw(self, e1, e2):
+        return (e1[0] + e2[0], e1[1] + e2[1])
 
     def neg(self, e):
-        return (-e[0] % self.modulus, -e[1] % self.modulus)
+        return self.reduce((-e[0], -e[1]))
 
     def inv(self, e):
         a, b = e
-        conj = ((a - b) % self.modulus, -b % self.modulus)
+        conj = self.reduce((a - b, -b))
         n = (a * a - a * b + b * b) % self.modulus
         ninv = pow(n, -1, self.modulus)
         return self.mul(conj, (ninv, 0))
@@ -518,9 +554,6 @@ class _InertRing(_RingBase):
         pv = self.place.p ** v
         return (e[0] // pv, e[1] // pv)
 
-    def reduce_to(self, e, target: "_InertRing"):
-        return (e[0] % target.modulus, e[1] % target.modulus)
-
     def elements(self) -> Iterator:
         m = self.modulus
         return ((a, b) for a in range(m) for b in range(m))
@@ -529,7 +562,11 @@ class _InertRing(_RingBase):
         return e[0] * self.modulus + e[1]
 
     def unpack(self, k):
-        return (k // self.modulus, k % self.modulus)
+        q = k // self.modulus
+        return (q, k - q * self.modulus)
+
+    def take(self, e, ids):
+        return (e[0][ids], e[1][ids])
 
     def lift(self, e) -> EisensteinNumber:
         return EisensteinNumber(e[0], e[1])
@@ -572,24 +609,29 @@ class _RamifiedRing(_RingBase):
         t = b * inv2t * dinvt % self.mt
         return (s, t)
 
-    def mul(self, e1, e2):
+    def reduce(self, e):
+        s, t = e
+        ms, mt = self.ms, self.mt
+        return (s - s // ms * ms, t - t // mt * mt)
+
+    def mul_raw(self, e1, e2):
         s1, t1 = e1
         s2, t2 = e2
         # (s1 + t1 pi)(s2 + t2 pi) = s1 s2 - 3 t1 t2 + (s1 t2 + s2 t1) pi
-        return ((s1 * s2 - 3 * t1 * t2) % self.ms, (s1 * t2 + s2 * t1) % self.mt)
+        return (s1 * s2 - 3 * t1 * t2, s1 * t2 + s2 * t1)
 
-    def add(self, e1, e2):
-        return ((e1[0] + e2[0]) % self.ms, (e1[1] + e2[1]) % self.mt)
+    def add_raw(self, e1, e2):
+        return (e1[0] + e2[0], e1[1] + e2[1])
 
     def neg(self, e):
-        return (-e[0] % self.ms, -e[1] % self.mt)
+        return self.reduce((-e[0], -e[1]))
 
     def inv(self, e):
         s, t = e
         n = (s * s + 3 * t * t) % self.ms
         ninvs = pow(n, -1, self.ms)
         ninvt = pow(n % self.mt, -1, self.mt) if self.mt > 1 else 0
-        return (s * ninvs % self.ms, -t * ninvt % self.mt)
+        return self.reduce((s * ninvs, -t * ninvt))
 
     def valuation(self, e) -> int:
         s, t = e
@@ -607,10 +649,7 @@ class _RamifiedRing(_RingBase):
         if v % 2:
             s, t = t, -(s // 3)
         n = self.precision - v
-        return (s % 3 ** ((n + 1) // 2), t % 3 ** (n // 2))
-
-    def reduce_to(self, e, target: "_RamifiedRing"):
-        return (e[0] % target.ms, e[1] % target.mt)
+        return (_mod(s, 3 ** ((n + 1) // 2)), _mod(t, 3 ** (n // 2)))
 
     def elements(self) -> Iterator:
         return ((s, t) for s in range(self.ms) for t in range(self.mt))
@@ -619,7 +658,11 @@ class _RamifiedRing(_RingBase):
         return e[0] * self.mt + e[1]
 
     def unpack(self, k):
-        return (k // self.mt, k % self.mt)
+        q = k // self.mt
+        return (q, k - q * self.mt)
+
+    def take(self, e, ids):
+        return (e[0][ids], e[1][ids])
 
     def lift(self, e) -> EisensteinNumber:
         # s + t*pi with pi = 1 + 2*zeta

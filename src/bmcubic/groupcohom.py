@@ -242,9 +242,10 @@ class GIntModule:
             raise ValueError("identity must act as the identity matrix")
         self.red = red = _reduced(rank, self.relations)
         self._relation_columns = IntMatrix.from_rows(self.relations, cols=rank).transpose()
-        if not all(self.preserves(a) for a in self.action):
-            raise ValueError("action does not preserve the relations")
         ua = [red.u @ a for a in self.action]
+        # (u a) R = u (a R): the preservation test of `preserves`, reusing u a
+        if not all(red.vanishes(m @ self._relation_columns) for m in ua):
+            raise ValueError("action does not preserve the relations")
         self.act = tuple(m @ red.uinv for m in ua)
         for g in group.generators:
             for h in range(group.order):

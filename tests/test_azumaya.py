@@ -253,6 +253,14 @@ def test_engine_matches_reference_small_inert():
             == _attained_reference(CG, CLS, V2, 3) == ((0,), 12288, True))
 
 
+def test_engine_matches_reference_inert_slice_at_pi5():
+    # the rung the flagship walks over 2, where the engine's raw ring
+    # arithmetic and reading tables carry every class; slice 0 is empty
+    assert (_vec_engine(CG, CLS, V2, 5).run(1, 1024)
+            == _attained_reference(CG, CLS, V2, 5, (1, 1024))
+            == ((0,), 12288, True))
+
+
 def test_engine_matches_reference_ramified_slice():
     # a slice keys a class by its free value reduced mod pi^(N - w), its
     # ball's representative, so the engine's slice of balls holds exactly
@@ -346,6 +354,20 @@ def test_single_denominator_class_can_lack_evaluable_charts():
                 if residue_ring(V2, 3).valuation(p.coords[3]) > 0)
     with pytest.raises(NoEvaluableChart):
         invariant_at_point(only_t, deep)
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_engine_matches_reference_through_one_denominator(d):
+    # one denominator per class: the engine reads evaluability through
+    # each role the coordinate x_d takes (leading, free or solved).  Where
+    # some class has no evaluable chart, both stop early, the engine at a
+    # batch and the reference at a class, so only complete runs count alike
+    cls = AzumayaClass(
+        THETA_CG, tuple(c for c in CLS.charts if c.denominator == d))
+    att, count, complete = _vec_engine(CG, cls, V2, 3).run(0, 1)
+    ref = _attained_reference(CG, cls, V2, 3)
+    assert (att, complete) == (ref[0], ref[2])
+    assert count == ref[1] if complete else count >= ref[1] > 0
 
 
 def test_denominator_choice_does_not_change_the_value():

@@ -8,6 +8,7 @@ touches neither, and Hilbert reciprocity for random pairs (u, theta).
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +165,57 @@ def test_residue_ring_is_homomorphism(a, b):
             ring = residue_ring(place, prec)
             assert ring.mul(ring.embed(a), ring.embed(b)) == ring.embed(a * b)
             assert ring.add(ring.embed(a), ring.embed(b)) == ring.embed(a + b)
+
+
+RAW_RINGS = tuple(
+    residue_ring(place, n) for place, precisions in (
+        (V7, (1, 3, 6)), (places_over(7)[1], (2, 4)), (V13, (1, 3)),
+        (V2, (1, 3, 5)), (V5, (2, 3)), (V3, (1, 4, 7, 9)))
+    for n in precisions)
+
+
+def _component_moduli(ring):
+    if ring.place.kind == "split":
+        return (ring.modulus,)
+    if ring.place.kind == "inert":
+        return (ring.modulus, ring.modulus)
+    return (ring.ms, ring.mt)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_reduce_once_matches_reducing_every_operation(data):
+    # the local engine sums raw products of reduced elements and reduces
+    # once; that must equal the sum folded with mul and add, on arrays
+    # holding the extreme ids and on scalar-by-array products
+    ring = data.draw(st.sampled_from(RAW_RINGS))
+    ids = st.integers(0, ring.size - 1)
+    block = st.lists(ids, min_size=1, max_size=6).map(
+        lambda xs: np.array([0, ring.size - 1] + xs, dtype=np.int64))
+    nterms = data.draw(st.integers(1, 10))
+    width = data.draw(st.integers(0, 6))
+    factor = st.one_of(ids.map(ring.unpack), block.map(
+        lambda b: ring.unpack(np.resize(b, width + 2))))
+    raw, folded = ring.zero, ring.zero
+    for _ in range(nterms):
+        x, y = data.draw(factor), data.draw(factor)
+        raw = ring.add_raw(raw, ring.mul_raw(x, y))
+        folded = ring.add(folded, ring.mul(x, y))
+    got = np.broadcast_to(ring.pack(ring.reduce(raw)), width + 2)
+    assert (got == np.broadcast_to(ring.pack(folded), width + 2)).all()
+    # any representation, whatever its sign or size, on ints and arrays
+    big = st.integers(-2 ** 62, 2 ** 62)
+    moduli = _component_moduli(ring)
+    comps = tuple(data.draw(big) for _ in moduli)
+    arrays = tuple(np.array(data.draw(st.lists(big, min_size=1, max_size=5)),
+                            dtype=np.int64) for _ in moduli)
+    if ring.place.kind == "split":
+        assert ring.reduce(comps[0]) == comps[0] % moduli[0]
+        assert (ring.reduce(arrays[0]) == arrays[0] % moduli[0]).all()
+    else:
+        assert ring.reduce(comps) == tuple(c % m for c, m in zip(comps, moduli))
+        for r, a, m in zip(ring.reduce(arrays), arrays, moduli):
+            assert (r == a % m).all()
 
 
 def test_residue_ring_structure():
