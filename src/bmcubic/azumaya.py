@@ -978,7 +978,7 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
     if place.kind != "ramified":
         raise ValueError("residue collection is defined at the ramified place")
     eng = _vec_engine(cs, cls, place, precision)
-    ids: set = set()
+    seen = np.zeros(eng.ring.size, dtype=bool)
     w_max = 0
     for w, branch, bt in eng.walk(0, 1):
         if bt.roles[0] != 0:
@@ -986,15 +986,14 @@ def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
                 "certified classes with nonunit leading coordinate exist")
         # values are pinned mod pi^(precision - w) on a ball, so the ball
         # representatives cover all residues
-        first = next(eng.numerators(branch, bt.a, bt.pmap, bt.sol))
-        ids.update(np.unique(first).tolist())
+        seen[next(eng.numerators(branch, bt.a, bt.pmap, bt.sol))] = True
         w_max = max(w_max, w)
     if precision - w_max < 5:
         raise NoStabilization(
             f"certificates pi^{w_max} pin values too shallowly "
             f"at precision {precision}")
     out = set()
-    for nid in sorted(ids):
+    for nid in np.flatnonzero(seen).tolist():
         value = eng.ring.lift(eng.ring.unpack(nid))
         if valuation(value, place) != 1:
             raise ArithmeticError(

@@ -15,7 +15,8 @@ On top of this sit the local invariants of cyclic cubic algebras (u, theta),
 read from one table per (theta, place) under one convention: away from 3 the
 invariant is the tame symbol, j/3 when the cube-power residue symbol is
 zeta^j; at the place over 3 it is fixed by Hilbert reciprocity, minus the sum
-of the tame invariants of a global representative of the unit class.
+of the tame invariants of a global element, evaluated at pi and at generators
+of the unit group mod pi^4 and extended by bimultiplicativity.
 """
 
 from __future__ import annotations
@@ -803,6 +804,22 @@ def unit_resolution(place: Place) -> int:
     return 4 if place.kind == "ramified" else 1
 
 
+def _norm_primes(x: EisensteinNumber) -> set[int]:
+    n = x.norm()
+    return set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
+
+
+def _reciprocity_invariant(x: EisensteinNumber, theta: EisensteinNumber) -> int:
+    """j with inv_3(x, theta) = j/3 by Hilbert reciprocity: minus the sum of
+    the tame invariants at the places not over 3 where x or theta is not a
+    unit, the places over the primes of N(x) or of N(theta); k has no real
+    places."""
+    primes = _norm_primes(x) | _norm_primes(theta)
+    tame = sum(tame_hilbert_symbol(localize(x, w, 1), localize(theta, w, 1), w).j
+               for p in primes - {3} for w in places_over(p))
+    return -tame % 3
+
+
 @lru_cache(maxsize=64)
 def invariant_table(theta: EisensteinNumber, place: Place) -> Mapping[tuple[int, int], int]:
     """The local invariants j/3 of (k_v(cbrt(theta))/k_v, pi^v * u) as a map
@@ -810,10 +827,13 @@ def invariant_table(theta: EisensteinNumber, place: Place) -> Mapping[tuple[int,
 
     Away from 3 the entries are tame symbols.  Over 3, units congruent to 1
     mod 9 are cubes, so the invariant depends only on the class (v mod 3,
-    u mod pi^4), and Hilbert reciprocity fixes it: inv_3(x, theta) is minus
-    the sum of inv_w(x, theta) over the places w not over 3, for the global
-    representative x = pi^v * (s + t*pi) of the class.  Only places dividing
-    N(x) * N(theta) contribute; k has no real places.
+    u mod pi^4), and Hilbert reciprocity fixes it on a global element
+    (`_reciprocity_invariant`).  Reciprocity is evaluated only at pi and at
+    the generators zeta, 1 + pi, 1 + pi^2, 1 + pi^3 and -1 of the unit group
+    of o/pi^4; the invariant is bimultiplicative, so a walk of that group
+    from 1 gives j(u*g) = j(u) + j(g), and inv(pi^v * u) = v*j(pi) + j(u).
+    The walk checks itself: it raises ArithmeticError when it reaches one
+    unit with two values of j, or misses a unit.
     """
     theta = _coerce(theta)
     if theta.is_zero:
@@ -827,15 +847,29 @@ def invariant_table(theta: EisensteinNumber, place: Place) -> Mapping[tuple[int,
                 le = LocalElement(place, v, u, 1)
                 table[(v, ring.pack(u))] = tame_hilbert_symbol(le, th, place).j
         return MappingProxyType(table)
-    n_theta = theta.norm()
-    for u in ring.units():
+    gens = [(ring.embed(g), _reciprocity_invariant(g, theta))
+            for g in (ZETA, ONE + PI3, ONE + PI3 ** 2, ONE + PI3 ** 3, -ONE)]
+    js = {ring.pack(ring.one): 0}
+    stack = [ring.one]
+    while stack:
+        u = stack.pop()
+        ju = js[ring.pack(u)]
+        for g, jg in gens:
+            w = ring.mul(u, g)
+            k, jw = ring.pack(w), (ju + jg) % 3
+            if k not in js:
+                js[k] = jw
+                stack.append(w)
+            elif js[k] != jw:
+                raise ArithmeticError(
+                    f"invariants at {place} are not bimultiplicative at {w}")
+    units = [ring.pack(u) for u in ring.units()]
+    if set(js) != set(units):
+        raise ArithmeticError(f"the unit generators miss a unit at {place}")
+    j_pi = _reciprocity_invariant(place.pi, theta)
+    for u in units:
         for v in range(3):
-            x = place.pi ** v * ring.lift(u)
-            n = x.norm() * n_theta
-            primes = set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
-            tame = sum(tame_hilbert_symbol(localize(x, w, 1), localize(theta, w, 1), w).j
-                       for p in primes - {3} for w in places_over(p))
-            table[(v, ring.pack(u))] = -tame % 3
+            table[(v, u)] = (v * j_pi + js[u]) % 3
     return MappingProxyType(table)
 
 

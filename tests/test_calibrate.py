@@ -242,3 +242,57 @@ def test_calibration_degree_check():
     quadric = TowerPolynomial(K0, {(2, 0, 0, 0): K0.one})
     with pytest.raises(ValueError):
         calibration_identity(quadric, quadric, quadric, K0.one, TAU, F_SURF)
+
+
+# ------------------------------------------- integer kernels against a reference
+
+K1 = TowerField([Fraction(2, 3), Fraction(9, 5)])
+TAU1 = TowerAutomorphism(K1, (1, 2))
+
+
+def _ref_mul(field, x, y):
+    """The product of {exponents: EisensteinNumber} maps, one coefficient
+    product and one radicand per carry at a time."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            c = c1 * c2
+            for m, a, b in zip(field.radicands, e1, e2):
+                if a + b >= 3:
+                    c = c * m
+            e = tuple((a + b) % 3 for a, b in zip(e1, e2))
+            out[e] = out.get(e, EisensteinNumber(0)) + c
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, EisensteinNumber(0)) + c
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def _ref_tau(tau, x):
+    return {e: c * ZETA ** (sum(a * v for a, v in zip(tau.exponents, e)) % 3)
+            for e, c in x.items()}
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_kernels_match_the_coefficient_reference(data):
+    field, tau = data.draw(st.sampled_from([(K0, TAU), (K1, TAU1)]))
+    a = data.draw(tower_elems(field))
+    b = data.draw(tower_elems(field))
+    assert (a * b).coeffs == _ref_mul(field, a.coeffs, b.coeffs)
+    assert (a + b).coeffs == _ref_add(a.coeffs, b.coeffs)
+    assert tau(a).coeffs == _ref_tau(tau, a.coeffs)
+    if not a.is_zero:
+        one = {(0,) * field.r: EisensteinNumber(1)}
+        assert _ref_mul(field, a.coeffs, a.inverse().coeffs) == one
+
+
+@pytest.mark.parametrize("mono", sorted(G_POLY.terms), ids=str)
+def test_calibration_rejects_a_changed_multiplier(mono):
+    theta = K0.scalar(THETA_FPRIME)
+    changed = G_POLY + TowerPolynomial(K0, {mono: K0.one})
+    assert not calibration_identity(F_POLY, FPRIME_POLY, changed, theta, TAU, F_SURF)

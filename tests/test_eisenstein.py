@@ -443,3 +443,53 @@ def test_invariant_value_arithmetic():
     assert InvariantValue(4) == InvariantValue(1)
     assert str(InvariantValue(0)) == "0"
     assert InvariantValue(2).fraction == Fraction(2, 3)
+
+
+# --- the table over 3 against one reciprocity sum per entry ------------------
+
+def _norm_primes(x):
+    n = x.norm()
+    return set(_prime_factors(n.numerator)) | set(_prime_factors(n.denominator))
+
+
+def _per_entry_table(theta):
+    """The table over 3 filled entry by entry: inv_3(x, theta) is minus the
+    tame invariants at the places over the primes of N(x) or of N(theta),
+    for x = pi^v * u with u the lift of each unit mod pi^4."""
+    ring = residue_ring(V3, unit_resolution(V3))
+    table = {}
+    for u in ring.units():
+        for v in range(3):
+            x = PI3 ** v * ring.lift(u)
+            primes = (_norm_primes(x) | _norm_primes(theta)) - {3}
+            tame = sum(tame_hilbert_symbol(localize(x, w, 1), localize(theta, w, 1), w).j
+                       for p in primes for w in places_over(p))
+            table[(v, ring.pack(u))] = -tame % 3
+    return table
+
+
+TABLE_THETAS = (
+    THETA, EisensteinNumber(5), EisensteinNumber(1, 3),
+    EisensteinNumber(Fraction(4, 9)), EisensteinNumber(2), EisensteinNumber(7),
+    EisensteinNumber(3), ZETA, EisensteinNumber(10, 7),
+    EisensteinNumber(Fraction(15, 2), Fraction(15, 2)),
+    EisensteinNumber(Fraction(1, 2)), EisensteinNumber(4),
+    EisensteinNumber(Fraction(5, 2)), EisensteinNumber(20),
+    EisensteinNumber(Fraction(7, 13), 2),
+    EisensteinNumber(Fraction(1, 14), Fraction(3, 7)),
+)
+
+
+@pytest.mark.parametrize("theta", TABLE_THETAS, ids=str)
+def test_table_over_3_matches_per_entry_reciprocity(theta):
+    assert dict(invariant_table(theta, V3)) == _per_entry_table(theta)
+
+
+@pytest.mark.parametrize("theta", [4, 20])
+def test_table_over_3_ignores_a_cube_that_cancels_a_prime(theta):
+    # theta * (1/2)^3 has the prime 2 in its denominator, where it cancels
+    # against the 2 of an even N(x); the place over 2 must still count
+    big = EisensteinNumber(theta)
+    small = big * EisensteinNumber(Fraction(1, 2)) ** 3
+    assert dict(invariant_table(small, V3)) == dict(invariant_table(big, V3))
+    assert cyclic_invariant(ONE + ZETA, small, V3) == cyclic_invariant(ONE + ZETA, big, V3)
