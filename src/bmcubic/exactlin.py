@@ -2,13 +2,17 @@
 
 Everything in this module works with arbitrary-precision Python integers and
 is fully deterministic: no floats, no randomized pivoting, no modular
-shortcuts.  The three workhorses are
+shortcuts.  The four workhorses are
 
 * :func:`smith_normal_form` -- ``U * M * V = D`` with ``U``, ``V`` unimodular
   and the diagonal of ``D`` a nonnegative divisibility chain ``d1 | d2 | ...``;
   ``U^-1`` comes with it, built from the inverses of the same row operations,
-* :func:`solve_linear_diophantine` -- a particular integer solution of
-  ``M x = b`` together with a basis of the integer kernel,
+* :class:`ColumnReduction` (and :func:`integer_kernel`) -- the integer
+  kernel of a matrix whose sparse rows are streamed in,
+* :class:`LatticeEchelon` -- a column echelon of the lattice spanned by some
+  generators that keeps each pivot's coordinates in them: built once per
+  lattice, it solves for the coordinates of any vector and gives a
+  saturated basis of the relations among the generators,
 * :func:`subquotient_structure` -- the abelian group (kernel lattice)/(image
   lattice), with generators and a membership test.  Cohomology of finite
   groups reduces to exactly this computation.
@@ -22,7 +26,6 @@ row-streaming kernel helper used by the cohomology code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -424,11 +427,13 @@ class ColumnReduction:
         cols.pop(nz[0])
 
     def kernel(self) -> list[Vector]:
-        out = []
-        for c in self.columns:
-            lead = next((x for x in c if x), 0)
-            out.append(tuple(-x for x in c) if lead < 0 else tuple(c))
-        return out
+        return [_positive_lead(c) for c in self.columns]
+
+
+def _positive_lead(v: Sequence[int]) -> Vector:
+    """v or -v, whichever has a positive first nonzero entry."""
+    lead = next((x for x in v if x), 0)
+    return tuple(-x for x in v) if lead < 0 else tuple(v)
 
 
 def integer_kernel(rows: Iterable[dict[int, int]], ncols: int) -> list[Vector]:
@@ -450,107 +455,82 @@ def sparse_rows(m: IntMatrix) -> Iterable[dict[int, int]]:
         yield {j: x for j, x in enumerate(r) if x}
 
 
-def solve_linear_diophantine(m: IntMatrix, b: Sequence[int]
-                             ) -> Optional[tuple[Vector, list[Vector]]]:
-    """Solve M x = b over the integers.
-
-    Returns ``(particular, kernel_basis)`` or None when no integer solution
-    exists.  The full solution set is particular + integer combinations of
-    the kernel basis.
-
-    >>> m = IntMatrix.from_rows([[1, 1]])
-    >>> sol, ker = solve_linear_diophantine(m, (3,))
-    >>> m.apply(sol)
-    (3,)
-    >>> ker
-    [(1, -1)]
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    n = m.cols
-    if all(x == 0 for x in b):
-        return (0,) * n, integer_kernel(sparse_rows(m), n)
-    # kernel of [M | -b]; a kernel vector (x, t) satisfies M x = t b
-    red = ColumnReduction(n + 1)
-    for i, row in enumerate(sparse_rows(m)):
-        if b[i]:
-            row = dict(row)
-            row[n] = -b[i]
-        red.feed(row)
-    aug = red.kernel()
-    kernel = [v[:n] for v in aug if v[n] == 0]
-    carriers = [v for v in aug if v[n] != 0]
-    if not carriers:
-        return None
-    # combine carriers down to a single one whose last coordinate is the gcd
-    acc = list(carriers[0])
-    for v in carriers[1:]:
-        g, s, t = ext_gcd(acc[n], v[n])
-        x, y = acc[n] // g, v[n] // g
-        new_acc = [s * p + t * q for p, q in zip(acc, v)]
-        extra = tuple(-y * p + x * q for p, q in zip(acc, v))
-        kernel.append(extra[:n])
-        acc = new_acc
-    if abs(acc[n]) != 1:
-        return None
-    sign = acc[n]
-    particular = tuple(sign * x for x in acc[:n])
-    return particular, kernel
-
-
 class LatticeEchelon:
-    """Column echelon form of an integer lattice, for membership tests.
+    """Column echelon form of the lattice spanned by some generators, with
+    each pivot's coordinates in the generators.
 
-    >>> lat = LatticeEchelon([(2, 0), (0, 2)], 2)
-    >>> lat.contains((4, -2))
-    True
-    >>> lat.contains((1, 0))
-    False
+    Generators are inserted in order.  Each insertion step replaces a pivot
+    w and the incoming vector v by two combinations through a 2 x 2 matrix
+    of determinant 1 (from `ext_gcd`), and the same matrix acts on their
+    coordinates.  A generator that reduces to zero leaves its coordinates
+    as a relation; because every step is unimodular, the relations are a
+    saturated basis of the integer kernel of the generator matrix, each
+    with a positive leading entry.
+
+    >>> lat = LatticeEchelon([(2, 0), (0, 2), (2, 2)], 2)
+    >>> lat.contains((4, -2)), lat.contains((1, 0))
+    (True, False)
+    >>> lat.relations
+    [(1, 1, -1)]
     """
 
     def __init__(self, vectors: Iterable[Sequence[int]], dim: int):
         self.dim = dim
+        vectors = [[int(x) for x in v] for v in vectors]
+        self.ngens = n = len(vectors)
         self.pivot_cols: dict[int, list[int]] = {}
-        for v in vectors:
-            self._insert([int(x) for x in v])
+        self.pivot_coords: dict[int, list[int]] = {}
+        self.relations: list[Vector] = []
+        for k, v in enumerate(vectors):
+            self._insert(v, [1 if i == k else 0 for i in range(n)])
 
-    def _leading(self, v: list[int]) -> Optional[int]:
-        for i, x in enumerate(v):
-            if x:
-                return i
-        return None
-
-    def _insert(self, v: list[int]) -> None:
+    def _insert(self, v: list[int], c: list[int]) -> None:
+        cols, coords = self.pivot_cols, self.pivot_coords
         while True:
-            r = self._leading(v)
+            r = next((i for i, x in enumerate(v) if x), None)
             if r is None:
+                self.relations.append(_positive_lead(c))
                 return
-            if r not in self.pivot_cols:
+            if r not in cols:
                 if v[r] < 0:
-                    v = [-x for x in v]
-                self.pivot_cols[r] = v
+                    v, c = [-x for x in v], [-x for x in c]
+                cols[r], coords[r] = v, c
                 return
-            w = self.pivot_cols[r]
+            w, cw = cols[r], coords[r]
             g, s, t = ext_gcd(w[r], v[r])
             x, y = w[r] // g, v[r] // g
-            neww = [s * p + t * q for p, q in zip(w, v)]
+            cols[r] = [s * p + t * q for p, q in zip(w, v)]
+            coords[r] = [s * p + t * q for p, q in zip(cw, c)]
             v = [-y * p + x * q for p, q in zip(w, v)]
-            self.pivot_cols[r] = neww
+            c = [-y * p + x * q for p, q in zip(cw, c)]
 
-    def reduce(self, v: Sequence[int]) -> Vector:
-        """Reduce v modulo the lattice by exact pivot division steps."""
+    def solve(self, v: Sequence[int]) -> Optional[Vector]:
+        """Coordinates x with sum_k x_k gen_k = v, or None when v is not in
+        the lattice.  Solutions differ by the relations.
+
+        >>> lat = LatticeEchelon([(2, 0), (0, 2), (2, 2)], 2)
+        >>> lat.solve((4, -2))
+        (3, 0, -1)
+        >>> lat.solve((1, 0)) is None
+        True
+        """
         v = [int(x) for x in v]
-        for r in sorted(self.pivot_cols):
+        x = [0] * self.ngens
+        for r in range(self.dim):
             if v[r]:
-                w = self.pivot_cols[r]
+                w = self.pivot_cols.get(r)
+                if w is None:
+                    return None
                 q, rem = divmod(v[r], w[r])
-                if rem == 0:
-                    for i in range(r, self.dim):
-                        v[i] -= q * w[i]
-        return tuple(v)
+                if rem:
+                    return None
+                for i in range(r, self.dim):
+                    v[i] -= q * w[i]
+                x = [a + q * b for a, b in zip(x, self.pivot_coords[r])]
+        return tuple(x)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return self.solve(v) is not None
 
 
 def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
@@ -585,16 +565,15 @@ def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
         return AbelianGroupStructure(0, ()), [], lambda v: (0,) * len(image_vectors)
     dim = len(kernel_vectors[0])
     s = len(kernel_vectors)
-    kmat = IntMatrix.from_rows([[v[i] for v in kernel_vectors] for i in range(dim)], cols=s)
-    # independence: kernel of kmat must be trivial
-    if integer_kernel(sparse_rows(kmat), s):
+    lattice = LatticeEchelon(kernel_vectors, dim)
+    if lattice.relations:
         raise ValueError("kernel vectors are not Z-linearly independent")
 
     def in_kernel_coords(v: Sequence[int]) -> Vector:
-        sol = solve_linear_diophantine(kmat, tuple(v))
-        if sol is None:
+        x = lattice.solve(v)
+        if x is None:
             raise ValueError("vector is not in the kernel lattice")
-        return sol[0]
+        return x
 
     coords = [in_kernel_coords(v) for v in image_vectors]
     t = len(image_vectors)

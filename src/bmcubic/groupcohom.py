@@ -33,7 +33,6 @@ from .exactlin import (
     LatticeEchelon,
     Vector,
     smith_normal_form,
-    solve_linear_diophantine,
     sparse_rows,
     subquotient_structure,
 )
@@ -518,11 +517,11 @@ def is_coboundary(group: FiniteGroup, module: GIntModule,
     be normalized (zero on tuples containing the identity), which is how all
     representatives produced by this module come.
     """
-    if not is_cocycle(group, module, c):
-        raise ValueError("input cochain is not a cocycle")
     d = c.degree
     if d < 1 or d > 3:
         raise ValueError("coboundary solving is supported in degrees 1..3")
+    if not is_cocycle(group, module, c):
+        raise ValueError("input cochain is not a cocycle")
     bar = _BarComplex(group, module)
     red = bar.red
     if red.n == 0:
@@ -540,16 +539,13 @@ def is_coboundary(group: FiniteGroup, module: GIntModule,
                 raise ValueError("degree-3 inputs must be normalized")
 
     cols = bar.image_columns(d)
-    lam = red.torsion_columns(bar.dim(d))
     rhs = []
     for t in _tuples(group, d):
         rhs.extend(red.to_red(work.value(t)))
-    rows = [[col[k] for col in cols] + [l[k] for l in lam] for k in range(len(rhs))]
-    sol = solve_linear_diophantine(
-        IntMatrix.from_rows(rows, cols=len(cols) + len(lam)), rhs)
-    if sol is None:
+    x = LatticeEchelon(cols + red.torsion_columns(len(rhs)), len(rhs)).solve(rhs)
+    if x is None:
         return None
-    (b,) = red.cochains(group, d - 1, [sol[0][:len(cols)]])
+    (b,) = red.cochains(group, d - 1, [x[:len(cols)]])
     if base is not None:
         b = b + base
     return b
@@ -574,10 +570,15 @@ class ModuleSES:
         for v in b.red.kernel(sparse_rows(b.red.u @ map_ab), a.rank):
             if not a.is_zero(v):
                 raise ValueError("A->B is not injective modulo relations")
+        # each map's columns followed by the target's relations: solving
+        # in this lattice lifts through the map modulo relations
+        self._ab = LatticeEchelon(
+            [map_ab.column(j) for j in range(a.rank)] + list(b.relations), b.rank)
+        self._bc = LatticeEchelon(
+            [map_bc.column(j) for j in range(b.rank)] + list(c.relations), c.rank)
         # surjectivity of B->C modulo relations
         for i in range(c.rank):
-            e = [1 if k == i else 0 for k in range(c.rank)]
-            if self._solve_through(map_bc, c.relations, e) is None:
+            if not self._bc.contains([1 if k == i else 0 for k in range(c.rank)]):
                 raise ValueError("B->C is not surjective modulo relations")
         # G-equivariance of both maps
         for g in a.group.generators:
@@ -588,27 +589,17 @@ class ModuleSES:
         self.a, self.b, self.c = a, b, c
         self.map_ab, self.map_bc = map_ab, map_bc
 
-    @staticmethod
-    def _solve_through(m: IntMatrix, relations: Sequence[Vector],
-                       target: Sequence[int]) -> Optional[Vector]:
-        width = m.cols + len(relations)
-        rows = [[m.at(i, j) for j in range(m.cols)] + [r[i] for r in relations]
-                for i in range(m.rows)]
-        sol = solve_linear_diophantine(IntMatrix.from_rows(rows, cols=width),
-                                       list(target))
-        return None if sol is None else sol[0][:m.cols]
-
     def lift_bc(self, v: Sequence[int]) -> Vector:
-        x = self._solve_through(self.map_bc, self.c.relations, v)
+        x = self._bc.solve(v)
         if x is None:
             raise ArithmeticError("value does not lift through B->C")
-        return x
+        return x[:self.b.rank]
 
     def pull_ab(self, v: Sequence[int]) -> Vector:
-        x = self._solve_through(self.map_ab, self.b.relations, v)
+        x = self._ab.solve(v)
         if x is None:
             raise ArithmeticError("value is not in the image of A->B")
-        return x
+        return x[:self.a.rank]
 
 
 def connecting_homomorphism(ses: ModuleSES, c: Cochain) -> Cochain:
@@ -656,12 +647,13 @@ def invariants_module(module: GIntModule, subgroup: Iterable[int]) -> Invariants
         m = GIntModule(quotient, 0, [], [IntMatrix.identity(0)] * quotient.order)
         return InvariantsModule(m, IntMatrix.zero(rank, 0), quotient, coset_of)
     zb = IntMatrix.from_rows(basis).transpose()
+    lattice = LatticeEchelon(basis, rank)
 
     def coords(v: Sequence[int]) -> Vector:
-        sol = solve_linear_diophantine(zb, list(v))
-        if sol is None:
+        x = lattice.solve(v)
+        if x is None:
             raise ArithmeticError("vector claimed invariant is outside the sublattice")
-        return sol[0]
+        return x
 
     new_rels = [coords(r) for r in rels]
     reps = [None] * quotient.order
@@ -686,6 +678,10 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
     tau^(n-1); representatives are single module vectors, returned both as
     such and as bar-resolution cochains through the standard comparison maps.
     """
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    if i > 3:
+        raise ValueError("bar representatives are provided for degrees 0..3")
     rank = module.rank
     if tau.rows != rank or tau.cols != rank:
         raise ValueError("action matrix has wrong shape")
@@ -700,8 +696,6 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
         power = power @ tau
     if not red.vanishes(power - red.u):
         raise ValueError("tau^n is not the identity on the quotient")
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
 
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
@@ -732,10 +726,8 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
         elif i == 2:
             gens.append(Cochain(2, {(a, b): v if a + b >= n else zero
                                     for a in range(n) for b in range(n)}))
-        elif i == 3:
+        else:
             gens.append(Cochain(3, {(a, b, cc): sigma(a, v) if b + cc >= n else zero
                                     for a in range(n) for b in range(n)
                                     for cc in range(n)}))
-        else:
-            raise ValueError("bar representatives are provided for degrees 0..3")
     return CohomologyResult(structure, tuple(gens), tuple(amb_reps))

@@ -39,11 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .calibrate import (TowerElement, TowerField, _f3_rowspace,
                         cube_class_vector)
-from .eisenstein import ONE, ZETA, EisensteinNumber
+from .eisenstein import ZETA
 from .exactlin import AbelianGroupStructure, IntMatrix, integer_kernel
 from .groupcohom import (CohomologyResult, FiniteGroup, GIntModule,
                          cohomology)
@@ -281,9 +281,12 @@ class PicardPresentation:
     hyperplane: tuple[int, ...]
 
 
-def _picard_module(group: FiniteGroup,
-                   perms: Sequence[Sequence[int]]) -> GIntModule:
-    """Z^27 modulo the Gram kernel, the lines permuted by `perms`."""
+@lru_cache(maxsize=None)
+def _picard_module(elements: tuple[Triple, ...]) -> GIntModule:
+    """Z^27 modulo the Gram kernel, the lines permuted by the subgroup with
+    these elements.  Memoized like `_group_from_triples`: one module per
+    subgroup, shared by `picard_presentation` and `h1_picard`."""
+    group, perms = _group_from_triples(elements)
     action = []
     for perm in perms:
         entries = [0] * (27 * 27)
@@ -299,15 +302,15 @@ def picard_presentation(galois: GaloisData) -> PicardPresentation:
     The hyperplane class is the sum of three coplanar lines P1(0,*); it is
     fixed by the whole group modulo the relations.
     """
-    module = _picard_module(galois.group, galois.permutations)
+    module = _picard_module(galois.elements)
     hyper = tuple(1 if i < 3 else 0 for i in range(27))
     return PicardPresentation(galois, module.relations, module, hyper)
 
 
 @lru_cache(maxsize=None)
 def _h1_for_subgroup(elements: tuple[Triple, ...]) -> CohomologyResult:
-    group, perms = _group_from_triples(elements)
-    return cohomology(group, _picard_module(group, perms), 1)
+    module = _picard_module(elements)
+    return cohomology(module.group, module, 1)
 
 
 def h1_picard(coeffs: Sequence[int]) -> CohomologyResult:

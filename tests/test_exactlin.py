@@ -20,7 +20,6 @@ from bmcubic.exactlin import (
     ext_gcd,
     integer_kernel,
     smith_normal_form,
-    solve_linear_diophantine,
     subquotient_structure,
 )
 
@@ -210,33 +209,68 @@ def test_kernel_is_saturated_basis(m):
         assert smith_normal_form(kmat).invariants == (1,) * len(ker)
 
 
-# --- diophantine solving -----------------------------------------------------
+# --- lattice echelon: solving and membership --------------------------------
+
+def column_echelon(m):
+    """The echelon of m's columns: solving in it solves M x = b."""
+    return LatticeEchelon([m.column(j) for j in range(m.cols)], m.rows)
+
 
 def test_solve_frozen():
     m = IntMatrix.from_rows([[1, 1]])
-    sol, ker = solve_linear_diophantine(m, (3,))
-    assert m.apply(sol) == (3,)
-    assert ker == [(1, -1)]
-    assert solve_linear_diophantine(IntMatrix.from_rows([[2]]), (3,)) is None
-    sol, ker = solve_linear_diophantine(IntMatrix.from_rows([[2, 4], [6, 8]]), (2, 2))
-    assert sol == (-1, 1)
-    assert ker == []
+    lat = column_echelon(m)
+    assert m.apply(lat.solve((3,))) == (3,)
+    assert lat.relations == [(1, -1)]
+    assert column_echelon(IntMatrix.from_rows([[2]])).solve((3,)) is None
+    lat = column_echelon(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    assert lat.solve((2, 2)) == (-1, 1)
+    assert lat.relations == []
 
 
 @given(int_matrices(), st.data())
 def test_solve_recovers_constructed_solutions(m, data):
     x = tuple(data.draw(st.integers(-9, 9)) for _ in range(m.cols))
     b = m.apply(x)
-    got = solve_linear_diophantine(m, b)
-    assert got is not None
-    sol, ker = got
+    lat = column_echelon(m)
+    sol = lat.solve(b)
+    assert sol is not None
     assert m.apply(sol) == b
-    # the known solution differs from the particular one by a kernel element
+    # the known solution differs from the found one by a relation
     diff = tuple(a - c for a, c in zip(x, sol))
-    assert LatticeEchelon(ker, m.cols).contains(diff)
+    assert LatticeEchelon(lat.relations, m.cols).contains(diff)
 
 
-# --- lattice membership ------------------------------------------------------
+@given(int_matrices())
+def test_relations_are_saturated_basis(m):
+    # the checks of test_kernel_is_saturated_basis, on the echelon's relations
+    rel = column_echelon(m).relations
+    for v in rel:
+        assert all(x == 0 for x in m.apply(v))
+    assert len(rel) == m.cols - smith_normal_form(m).rank
+    if rel:
+        rmat = IntMatrix.from_rows([[v[i] for v in rel] for i in range(m.cols)],
+                                   cols=len(rel))
+        assert smith_normal_form(rmat).invariants == (1,) * len(rel)
+
+
+@given(int_matrices(min_dim=1), st.data())
+def test_solve_agrees_with_smith_membership(m, data):
+    # v = M x + e, e a small perturbation; the oracle reads U v against the
+    # Smith diagonal: v is in the column lattice iff (U v)_i is divisible by
+    # d_i for i < rank and vanishes beyond
+    x = [data.draw(st.integers(-5, 5)) for _ in range(m.cols)]
+    e = [data.draw(st.integers(-2, 2)) for _ in range(m.rows)]
+    v = tuple(a + b for a, b in zip(m.apply(x), e))
+    snf = smith_normal_form(m)
+    y = snf.u.apply(v)
+    member = all(y[i] % d == 0 for i, d in enumerate(snf.invariants)) \
+        and not any(y[snf.rank:])
+    lat = column_echelon(m)
+    sol = lat.solve(v)
+    assert (sol is not None) == member == lat.contains(v)
+    if sol is not None:
+        assert m.apply(sol) == v
+
 
 def test_lattice_echelon_frozen():
     lat = LatticeEchelon([(2, 0), (0, 2)], 2)

@@ -293,6 +293,16 @@ def test_non_cocycle_rejected():
         is_coboundary(g, m, Cochain(2, vals))
 
 
+@pytest.mark.parametrize("d", [0, 4])
+def test_coboundary_degree_rejected_before_the_cocycle_test(d):
+    # the cochain is no cocycle either; the degree is what gets reported
+    g, m = a2_module()
+    c = zero_cochain(g, 2, d)
+    c = Cochain(d, {t: (1, 0) for t in c.values})
+    with pytest.raises(ValueError, match="degrees 1..3"):
+        is_coboundary(g, m, c)
+
+
 # ---------------------------------------------------------- connecting maps
 
 def picard_toy_ses():
@@ -471,6 +481,18 @@ def test_cyclic_order_mismatch():
     m = trivial_module(Z3, rank=2)
     with pytest.raises(ValueError):
         cyclic_cohomology(A2_ROTATION, 2, m, 1)
+
+
+def test_cyclic_degree_rejected_first():
+    # the order mismatch above would raise later; the degree goes first, and
+    # a degree past 3 is refused even where H^i is trivial
+    m = trivial_module(Z3, rank=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cyclic_cohomology(A2_ROTATION, 2, m, -1)
+    with pytest.raises(ValueError, match="degrees 0..3"):
+        cyclic_cohomology(A2_ROTATION, 2, m, 4)
+    with pytest.raises(ValueError, match="degrees 0..3"):
+        cyclic_cohomology(IntMatrix.identity(0), 3, trivial_module(Z3, rank=0), 4)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmcubic import lines27
 from bmcubic.calibrate import TowerAutomorphism, TowerField
 from bmcubic.exactlin import IntMatrix, smith_normal_form
 from bmcubic.groupcohom import cohomology, invariants_module
@@ -230,6 +231,21 @@ def test_h1_generator_is_nontrivial_cocycle():
 def test_h1_cache_keyed_by_subgroup():
     assert h1_picard((1, 1, 1, 2)) is h1_picard((1, 1, 1, 16))
     assert h1_picard(CG) is h1_picard((10, 18, 20, 24))
+
+
+def test_h1_and_presentation_share_one_picard_module(monkeypatch):
+    # h1_picard's cohomology run reads the very module the presentation holds
+    seen = []
+
+    def spy(group, module, i):
+        seen.append(module)
+        return cohomology(group, module, i)
+
+    monkeypatch.setattr(lines27, "cohomology", spy)
+    gal = galois_data(CG)
+    lines27._h1_for_subgroup.__wrapped__(gal.elements)
+    assert len(seen) == 1
+    assert seen[0] is picard_presentation(gal).module
 
 
 def test_realized_subgroup_memo_holds_one_entry_per_subgroup():
