@@ -19,8 +19,11 @@ shortcuts.  The four workhorses are
 
 The pivot rule (smallest nonzero absolute value, ties broken by lowest
 (row, col)) makes every output reproducible across runs and platforms.
-Matrices here are desk scale; nothing is tuned for sparsity beyond the
-row-streaming kernel helper used by the cohomology code.
+Matrices here are desk scale, and two kernels read only nonzero entries: the
+matrix product, which reads each row of its right factor once as (column,
+value) pairs (the Galois action matrices are permutations, the relation
+columns mostly zero), and the row-streaming kernel helper that the
+cohomology code feeds sparse rows.
 """
 
 from __future__ import annotations
@@ -130,17 +133,29 @@ class IntMatrix:
         return self._entrywise(other, sub)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Matrix product, summed over the nonzero entries of both factors:
+        each row of `other` is read once as its (column, value) pairs.
+
+        >>> a = IntMatrix.from_rows([[1, 2], [3, 0]])
+        >>> (a @ IntMatrix.from_rows([[0, 1], [1, 0]])).to_rows()
+        [[2, 1], [0, 3]]
+        >>> a @ IntMatrix.zero(3, 1)
+        Traceback (most recent call last):
+        ...
+        ValueError: dimension mismatch in matrix product
+        """
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        n = other.cols
-        orows = [other.entries[k * n:(k + 1) * n] for k in range(other.rows)]
+        n, k, e = other.cols, self.cols, self.entries
+        orows = [[(j, y) for j, y in enumerate(other.row(r)) if y] for r in range(k)]
         flat: list[int] = []
         for i in range(self.rows):
             acc = [0] * n
-            for a, orow in zip(self.row(i), orows):
+            for a, orow in zip(e[i * k:i * k + k], orows):
                 if a:
-                    acc = [x + a * y for x, y in zip(acc, orow)]
-            flat.extend(acc)
+                    for j, y in orow:
+                        acc[j] += a * y
+            flat += acc
         return IntMatrix(self.rows, n, tuple(flat))
 
     def apply(self, v: Sequence[int]) -> Vector:

@@ -5,7 +5,9 @@ relation lattice, so quotients like Z^27 modulo a rank-20 relation lattice
 need no special casing.  Cochains live on the normalized bar resolution
 (values on tuples containing the identity vanish), which keeps the cochain
 spaces small enough that kernels of the differentials can be streamed through
-integer column elimination.
+integer column elimination.  H^1 of a direct sum of cyclic groups, every
+Galois group of a diagonal cubic among them, is taken on the much smaller
+Koszul complex of that sum and returned as bar cocycles.
 
 Beyond the plain cohomology groups the module provides what the descent
 computation actually consumes: explicit cocycle representatives, coboundary
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import prod
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import (
@@ -70,16 +74,7 @@ class FiniteGroup:
                         if self.table[ab][c] != self.table[a][self.table[b][c]]:
                             raise ValueError("table is not associative")
         gens = self.generators or tuple(range(1, n))
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.table[g][x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != n:
+        if 1 + sum(1 for _ in _cayley_walk(self, gens)) != n:
             raise ValueError("generators do not generate the group")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_inverse", tuple(inv))
@@ -133,6 +128,21 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     return FiniteGroup(n, table, (1,) if n > 1 else ())
+
+
+def _cayley_walk(group: FiniteGroup, gens: Sequence[int]):
+    """The Cayley graph walked from the identity by left multiplication:
+    (s, h, s h) for each element s h at the step that first reaches it."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        h = frontier.pop()
+        for s in gens:
+            sh = group.mul(s, h)
+            if sh not in seen:
+                seen.add(sh)
+                frontier.append(sh)
+                yield s, h, sh
 
 
 def group_closure(generators: Sequence, cap: int = 10_000) -> FiniteGroup:
@@ -268,14 +278,8 @@ def action_from_generators(group: FiniteGroup, rank: int,
     """Propagate generator matrices to every element along the Cayley graph."""
     mats: list[Optional[IntMatrix]] = [None] * group.order
     mats[0] = IntMatrix.identity(rank)
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for g, mg in gen_matrices.items():
-            j = group.mul(g, i)
-            if mats[j] is None:
-                mats[j] = mg @ mats[i]
-                frontier.append(j)
+    for s, h, sh in _cayley_walk(group, list(gen_matrices)):
+        mats[sh] = gen_matrices[s] @ mats[h]
     if any(m is None for m in mats):
         raise ValueError("generator matrices do not cover the group")
     return mats
@@ -385,6 +389,19 @@ class _Reduced:
         lat = LatticeEchelon([v[:ncols] for v in ker], ncols)
         return [tuple(v) for v in lat.pivot_cols.values()]
 
+    def cyclic_operators(self, tau: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
+        """tau - 1 and the norm 1 + tau + ... + tau^(n-1) in reduced
+        coordinates, for an ambient action matrix tau of order n."""
+        # the rows u tau^k, so that the reduced matrices are u m uinv
+        power = self.u
+        norm_rows = IntMatrix.zero(self.n, self.rank)
+        for _ in range(n):
+            norm_rows = norm_rows + power
+            power = power @ tau
+        if not self.vanishes(power - self.u):
+            raise ValueError("tau^n is not the identity on the quotient")
+        return (self.u @ tau - self.u) @ self.uinv, norm_rows @ self.uinv
+
     def torsion_columns(self, ncols: int) -> list[Vector]:
         """The vectors moduli[k % n] * e_k: zero in the quotient."""
         n = self.n
@@ -486,8 +503,63 @@ class CohomologyResult:
     periodic_vectors: Optional[tuple[Vector, ...]] = None
 
 
+def _koszul_orders(group: FiniteGroup) -> Optional[list[int]]:
+    """The orders of the generators when G is the direct sum of the cyclic
+    groups they generate: they commute pairwise and their orders multiply to
+    |G|.  None otherwise."""
+    gens, mul = group.generators, group.mul
+    if any(mul(a, b) != mul(b, a) for a, b in combinations(gens, 2)):
+        return None
+    orders = []
+    for s in gens:
+        k, x = 1, s
+        while x:
+            k, x = k + 1, mul(s, x)
+        orders.append(k)
+    return orders if prod(orders) == group.order else None
+
+
+def _koszul_h1(group: FiniteGroup, module: GIntModule,
+               orders: Sequence[int]) -> CohomologyResult:
+    """H^1 of the direct sum of the cyclic groups <s_i> of order n_i on its
+    Koszul complex, in reduced coordinates, one block m_i per generator:
+    Z^1 = {(m_i) : N_i m_i = 0, (s_i - 1) m_j = (s_j - 1) m_i} and
+    B^1 = {((s_i - 1) m)_i}.  Each class returns as the normalized bar
+    cocycle f(s h) = m_s + s f(h) along the Cayley walk."""
+    red = module.red
+    n = red.n
+    gens = group.generators
+    ops = [red.cyclic_operators(module.action[s], k) for s, k in zip(gens, orders)]
+    # equation blocks of n rows each, so row k holds modulo moduli[k % n]
+    rows = [{i * n + c: x for c, x in row.items()}
+            for i, (_, norm) in enumerate(ops) for row in sparse_rows(norm)]
+    for i, j in combinations(range(len(gens)), 2):
+        for ri, rj in zip(sparse_rows(ops[i][0]), sparse_rows(ops[j][0])):
+            row = {j * n + c: x for c, x in ri.items()}
+            row.update((i * n + c, -x) for c, x in rj.items())
+            rows.append(row)
+    ncols = n * len(gens)
+    kernel = red.kernel(rows, ncols)
+    image = [tuple(x for d, _ in ops for x in d.column(c)) for c in range(n)]
+    structure, reps, _ = subquotient_structure(kernel, image + red.torsion_columns(ncols))
+    cocycles = []
+    for vec in reps:
+        m = {s: vec[i * n:i * n + n] for i, s in enumerate(gens)}
+        f = {0: (0,) * n}
+        for s, h, sh in _cayley_walk(group, gens):
+            f[sh] = tuple(map(add, m[s], module.act[s].apply(f[h])))
+        cocycles.append(Cochain(1, {(g,): red.to_amb(f[g]) for g in range(group.order)}))
+    return CohomologyResult(structure, tuple(cocycles))
+
+
 def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResult:
     """H^i(G, M) with explicit cocycle representatives.
+
+    H^1 of a group that is the direct sum of the cyclic groups of its
+    generators (they commute pairwise and their orders multiply to |G|) runs
+    on the Koszul complex of that sum: every cyclic group and every subgroup
+    of (Z/3)^3 given by an F_3 basis.  Every other group and degree runs on
+    the normalized bar complex; both give bar cocycles.
 
     >>> g = cyclic_group(3)
     >>> m = GIntModule(g, 1, [], [IntMatrix.identity(1)] * 3)
@@ -496,10 +568,14 @@ def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResu
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    bar = _BarComplex(group, module)
-    red = bar.red
+    red = module.red
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), ())
+    if i == 1:
+        orders = _koszul_orders(group)
+        if orders is not None:
+            return _koszul_h1(group, module, orders)
+    bar = _BarComplex(group, module)
     ncols = bar.dim(i)
     kernel = red.kernel(bar.rows(i), ncols)
     image = bar.image_columns(i) + red.torsion_columns(ncols)
@@ -687,21 +763,11 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
         raise ValueError("action matrix has wrong shape")
     if not module.preserves(tau):
         raise ValueError("tau does not preserve the relations")
-    # the rows u tau^k, so that the reduced matrices below are u m uinv
     red = module.red
-    power = red.u
-    norm_rows = IntMatrix.zero(red.n, rank)
-    for _ in range(n):
-        norm_rows = norm_rows + power
-        power = power @ tau
-    if not red.vanishes(power - red.u):
-        raise ValueError("tau^n is not the identity on the quotient")
-
+    rd, rn = red.cyclic_operators(tau, n)
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
     # H^0 = ker(tau - 1); odd i: ker(N)/im(tau - 1); even i > 0: ker(tau - 1)/im(N)
-    rd = (red.u @ tau - red.u) @ red.uinv
-    rn = norm_rows @ red.uinv
     kmat, imat = (rn, rd) if i % 2 else (rd, rn)
     kernel = red.kernel(sparse_rows(kmat), red.n)
     image = [imat.column(j) for j in range(red.n)] if i else []

@@ -110,20 +110,62 @@ def matrix_pairs(draw, max_dim=4, max_entry=9):
     return IntMatrix(r, k, tuple(a)), IntMatrix(k, c, tuple(b))
 
 
+def naive_product(a, b):
+    rows_a, rows_b = a.to_rows(), b.to_rows()
+    return [[sum(rows_a[i][k] * rows_b[k][j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
 @given(matrix_pairs(), st.data())
 def test_product_and_apply_match_triple_loop(pair, data):
     a, b = pair
-    rows_a, rows_b = a.to_rows(), b.to_rows()
-    naive = [[sum(rows_a[i][k] * rows_b[k][j] for k in range(a.cols))
-              for j in range(b.cols)] for i in range(a.rows)]
+    rows_a = a.to_rows()
     prod_ = a @ b
     assert (prod_.rows, prod_.cols) == (a.rows, b.cols)
-    assert prod_.to_rows() == naive
+    assert prod_.to_rows() == naive_product(a, b)
     v = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols, max_size=a.cols))
     assert a.apply(v) == tuple(sum(rows_a[i][k] * v[k] for k in range(a.cols))
                                for i in range(a.rows))
     with pytest.raises(ValueError):
         a.apply(v + [1])
+
+
+@st.composite
+def shaped_matrices(draw, rows, cols):
+    """A rows x cols matrix that is dense, a permutation matrix (when square)
+    or mostly zero with entries of both signs."""
+    kind = draw(st.sampled_from(["dense", "permutation", "sparse"]))
+    if kind == "permutation" and rows == cols:
+        perm = draw(st.permutations(range(rows)))
+        return IntMatrix(rows, cols, tuple(int(perm[j] == i)
+                                           for i in range(rows) for j in range(cols)))
+    size = rows * cols
+    if kind == "dense":
+        entries = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    else:
+        entries = [0] * size
+        for k in draw(st.lists(st.integers(0, size - 1), max_size=size // 4 + 1)
+                      if size else st.just([])):
+            entries[k] = draw(st.integers(-9, 9).filter(bool))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@given(st.data())
+def test_product_over_nonzero_entries_matches_triple_loop(data):
+    r, k, c = (data.draw(st.integers(0, 8)) for _ in range(3))
+    a = data.draw(shaped_matrices(r, k))
+    b = data.draw(shaped_matrices(k, c))
+    prod_ = a @ b
+    assert (prod_.rows, prod_.cols) == (r, c)
+    assert prod_.to_rows() == naive_product(a, b)
+
+
+@given(matrix_pairs(), st.integers(1, 3))
+def test_product_dimension_mismatch_raises(pair, extra):
+    a, b = pair
+    wide = IntMatrix.zero(b.rows + extra, b.cols)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a @ wide
 
 
 # --- smith normal form -------------------------------------------------------

@@ -5,12 +5,14 @@ groups (ker/im of tau-1 and the norm); the bar-resolution machinery must
 reproduce them, and the two resolutions must agree wherever both apply.
 """
 
-from itertools import islice
+from itertools import islice, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmcubic import groupcohom
 from bmcubic.exactlin import ColumnReduction, IntMatrix, LatticeEchelon
 from bmcubic.groupcohom import (
     _BarComplex,
@@ -522,3 +524,138 @@ def test_cyclic_bar_representatives_are_cocycles(i):
         assert is_cocycle(g, m, gen)
     if i in (1, 3):
         assert res.structure.torsion == (3,)
+
+
+# ------------------------------------------------------------------ Koszul
+
+def product_group(*orders):
+    """The direct sum of the Z/n_i, generated by its standard basis."""
+    elems = list(product(*(range(n) for n in orders)))
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[tuple((a + b) % n for a, b, n in zip(x, y, orders))]
+                        for y in elems) for x in elems)
+    basis = tuple(index[tuple(int(i == k) for i in range(len(orders)))]
+                  for k in range(len(orders)))
+    return FiniteGroup(len(elems), table, basis)
+
+
+KOSZUL_GROUPS = {
+    "C2xC2": product_group(2, 2),
+    "C3xC3": product_group(3, 3),
+    "C4": cyclic_group(4),
+    "C6": FiniteGroup(6, cyclic_group(6).table, (2, 3)),
+}
+
+
+def bar_forced(g):
+    """The same group with every non-identity element a generator: for order
+    at least 3 a redundant generating set, so `cohomology` runs the bar
+    complex in every degree."""
+    assert g.order >= 3
+    return FiniteGroup(g.order, g.table)
+
+
+def bar_runs(run):
+    """The groups of the bar complexes that run() builds."""
+    seen = []
+
+    class Spy(_BarComplex):
+        def __init__(self, group, module):
+            seen.append(group)
+            super().__init__(group, module)
+
+    with patch.object(groupcohom, "_BarComplex", Spy):
+        run()
+    return seen
+
+
+def element_order(g, x):
+    k, y = 1, x
+    while y:
+        k, y = k + 1, g.mul(x, y)
+    return k
+
+
+@st.composite
+def small_torsion_modules(draw, g):
+    """(rank, relations, action): the permutation module on the cosets of a
+    cyclic subgroup, twisted by a sign character, modulo the orbits of up to
+    two vectors and possibly modulo k on every coordinate."""
+    x = draw(st.integers(0, g.order - 1))
+    h, y = {0}, x
+    while y not in h:
+        h.add(y)
+        y = g.mul(x, y)
+    _, coset_of = g.quotient(h)
+    rank = max(coset_of) + 1
+    rep = {coset_of[z]: z for z in range(g.order)}
+    gen_mats = {}
+    for s in g.generators:
+        # a sign on s is a character exactly when s has even order
+        sign = draw(st.sampled_from([1, -1])) if element_order(g, s) % 2 == 0 else 1
+        gen_mats[s] = IntMatrix.from_rows(
+            [[sign if coset_of[g.mul(s, rep[c])] == r else 0 for c in range(rank)]
+             for r in range(rank)])
+    action = action_from_generators(g, rank, gen_mats)
+    relations = set()
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+        relations |= {a.apply(v) for a in action if any(v)}
+    k = draw(st.sampled_from([0, 0, 2, 3, 4]))
+    if k:
+        relations |= {tuple(k * (i == j) for j in range(rank)) for i in range(rank)}
+    return rank, sorted(relations), action
+
+
+@given(st.sampled_from(sorted(KOSZUL_GROUPS)), st.data())
+@settings(max_examples=60)
+def test_koszul_h1_matches_bar_on_small_torsion_modules(name, data):
+    g = KOSZUL_GROUPS[name]
+    rank, relations, action = data.draw(small_torsion_modules(g))
+    m = GIntModule(g, rank, relations, action)
+    gb = bar_forced(g)
+    mb = GIntModule(gb, rank, relations, action)
+    koszul = cohomology(g, m, 1)
+    assert koszul.structure == cohomology(gb, mb, 1).structure
+    for gen in koszul.generators:
+        assert is_cocycle(g, m, gen)
+        assert is_coboundary(g, m, gen) is None
+
+
+@given(st.sampled_from([Z3, cyclic_group(4)]), st.data())
+@settings(max_examples=100)
+def test_cyclic_matches_forced_bar_in_degrees_0_to_2(g, data):
+    # degree 1 of a cyclic group runs on the Koszul complex; the periodic
+    # complex is compared here with the bar complex itself
+    rank, relations, action = data.draw(small_torsion_modules(g))
+    m = GIntModule(g, rank, relations, action)
+    gb = bar_forced(g)
+    mb = GIntModule(gb, rank, relations, action)
+    for i in (0, 1, 2):
+        periodic = cyclic_cohomology(action[1], g.order, m, i).structure
+        assert periodic == cohomology(gb, mb, i).structure, i
+
+
+def test_route_is_chosen_from_the_group():
+    z3_redundant = FiniteGroup(3, Z3.table, (1, 2))
+    c6 = KOSZUL_GROUPS["C6"]
+    cases = [(S3, regular_module(S3), 1, True),
+             (z3_redundant, trivial_module(z3_redundant, 1, [(3,)]), 1, True),
+             (Z3, trivial_module(Z3, 1, [(3,)]), 1, False),
+             (Z3, trivial_module(Z3, 1, [(3,)]), 2, True),
+             (c6, regular_module(c6), 1, False),
+             (KOSZUL_GROUPS["C3xC3"], regular_module(KOSZUL_GROUPS["C3xC3"]), 1, False)]
+    for g, m, i, bar in cases:
+        assert bar_runs(lambda: cohomology(g, m, i)) == ([g] if bar else []), (g.order, i)
+
+
+def test_koszul_generators_of_z3_plus_z3_are_independent():
+    g = KOSZUL_GROUPS["C3xC3"]
+    m = trivial_module(g, 1, [(3,)])
+    res = cohomology(g, m, 1)
+    assert res.structure.torsion == (3, 3)
+    g1, g2 = res.generators
+    for a, b in product(range(3), repeat=2):
+        c = g1.scale(a) + g2.scale(b)
+        assert is_cocycle(g, m, c)
+        assert (is_coboundary(g, m, c) is None) == bool(a or b)

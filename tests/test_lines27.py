@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from bmcubic import lines27
 from bmcubic.calibrate import TowerAutomorphism, TowerField
 from bmcubic.exactlin import IntMatrix, smith_normal_form
-from bmcubic.groupcohom import cohomology, invariants_module
+from bmcubic.groupcohom import (FiniteGroup, GIntModule, cohomology,
+                                invariants_module, is_coboundary, is_cocycle)
 from bmcubic.lines27 import (LABELS, LineLabel, _act_on_label,
                              _f3_reduced_basis, _f3_rowspace,
                              _realized_subgroup, _span_triples, galois_data,
@@ -246,6 +247,43 @@ def test_h1_and_presentation_share_one_picard_module(monkeypatch):
     lines27._h1_for_subgroup.__wrapped__(gal.elements)
     assert len(seen) == 1
     assert seen[0] is picard_presentation(gal).module
+
+
+def all_subgroups():
+    """The 28 subgroups of (Z/3)^3, each as its sorted elements."""
+    nonzero = [t for t in product(range(3), repeat=3) if any(t)]
+    return sorted({tuple(sorted(_span_triples(list(basis))))
+                   for r in range(4) for basis in combinations(nonzero, r)})
+
+
+def test_koszul_h1_matches_bar_on_all_subgroups():
+    # h1_picard runs on the Koszul complex of the F_3 basis; the same module
+    # over FiniteGroup(order, table), whose generators are every non-identity
+    # element, runs the bar complex
+    subgroups = all_subgroups()
+    assert len(subgroups) == 28
+    for elements in subgroups:
+        module = lines27._picard_module(elements)
+        g = module.group
+        koszul = lines27._h1_for_subgroup(elements)
+        if g.order > 1:
+            gb = FiniteGroup(g.order, g.table)
+            mb = GIntModule(gb, 27, module.relations, module.action)
+            assert koszul.structure == cohomology(gb, mb, 1).structure, elements
+        for gen in koszul.generators:
+            assert is_cocycle(g, module, gen)
+            assert is_coboundary(g, module, gen) is None
+
+
+def test_z3_plus_z3_picard_generators_are_independent():
+    module = picard_presentation(galois_data((1, 1, 1, 2))).module
+    g = module.group
+    g1, g2 = h1_picard((1, 1, 1, 2)).generators
+    for a, b in product(range(3), repeat=2):
+        if a or b:
+            c = g1.scale(a) + g2.scale(b)
+            assert is_cocycle(g, module, c)
+            assert is_coboundary(g, module, c) is None
 
 
 def test_realized_subgroup_memo_holds_one_entry_per_subgroup():
