@@ -295,11 +295,30 @@ def valuation(x: EisensteinNumber, place: Place) -> int:
     x = _coerce(x)
     if x.is_zero:
         raise ValueError("valuation of zero")
-    den = lcm(x.x.denominator, x.y.denominator)
-    a = int(x.x * den)
-    b = int(x.y * den)
+    a, b, den = _integral_numerator(x)
     vden = _ord_int(den, place.p) * place.ramification
     return _integral_valuation(a, b, place) - vden
+
+
+def _integral_numerator(x: EisensteinNumber) -> tuple[int, int, int]:
+    """(a, b, den) with x = (a + b*zeta)/den over the lcm of its denominators."""
+    den = lcm(x.x.denominator, x.y.denominator)
+    return int(x.x * den), int(x.y * den), den
+
+
+def _strip_pi(a: int, b: int, place: Place, limit: int) -> tuple[int, int, int]:
+    """(a', b', v) with a + b*zeta = pi^v (a' + b'*zeta) at a split place and
+    v as large as it goes up to limit; dividing by pi multiplies by conj(pi)/p."""
+    p, pa, pb = place.p, int(place.pi.x), int(place.pi.y)
+    ca, cb = pa - pb, -pb  # conj(pi)
+    v = 0
+    while v < limit:
+        na = a * ca - b * cb
+        nb = a * cb + b * ca - b * cb
+        if na % p or nb % p:
+            break
+        a, b, v = na // p, nb // p, v + 1
+    return a, b, v
 
 
 def _ord_int(n: int, p: int) -> int:
@@ -328,19 +347,7 @@ def _integral_valuation(a: int, b: int, place: Place) -> int:
         vs = 2 * _ord_int(s, 3) if s else _BIG
         vt = 1 + 2 * _ord_int(t, 3) if t else _BIG
         return min(vs, vt)
-    # split: repeatedly divide by pi, i.e. multiply by conj(pi)/p
-    pa, pb = int(place.pi.x), int(place.pi.y)
-    # conj(pi) = (pa - pb) - pb*zeta
-    ca, cb = pa - pb, -pb
-    v = 0
-    while True:
-        # (a + b*zeta)(ca + cb*zeta)
-        na = a * ca - b * cb
-        nb = a * cb + b * ca - b * cb
-        if na % p or nb % p:
-            return v
-        a, b = na // p, nb // p
-        v += 1
+    return _strip_pi(a, b, place, _BIG)[2]
 
 
 # --- residue rings -----------------------------------------------------------
@@ -387,10 +394,7 @@ class _RingBase:
 
     def embed(self, x: EisensteinNumber):
         """Residue of x, which must have valuation >= 0 at the place."""
-        x = _coerce(x)
-        den = lcm(x.x.denominator, x.y.denominator)
-        a = int(x.x * den)
-        b = int(x.y * den)
+        a, b, den = _integral_numerator(_coerce(x))
         k = _ord_int(den, self.place.p)
         d = den // self.place.p ** k
         return self._embed_fraction(a, b, k, d)
@@ -444,17 +448,12 @@ class _SplitRing(_RingBase):
     def _embed_fraction(self, a: int, b: int, k: int, d: int):
         # (a + b*zeta) / (p^k * d); cancel pi^k into the numerator, leaving
         # a denominator conj(pi)^k * d of valuation zero
-        p = self.place.p
+        a, b, v = _strip_pi(a, b, self.place, k)
+        if v < k:
+            raise ValueError("element has negative valuation at the place")
         pa, pb = int(self.place.pi.x), int(self.place.pi.y)
-        ca, cb = pa - pb, -pb
-        for _ in range(k):
-            na = a * ca - b * cb
-            nb = a * cb + b * ca - b * cb
-            if na % p or nb % p:
-                raise ValueError("element has negative valuation at the place")
-            a, b = na // p, nb // p
         num = (a + b * self.zeta) % self.modulus
-        den = (ca + cb * self.zeta) % self.modulus
+        den = (pa - pb - pb * self.zeta) % self.modulus
         den = pow(den, k, self.modulus) * d % self.modulus
         return num * pow(den, -1, self.modulus) % self.modulus
 

@@ -8,13 +8,15 @@ shortcuts.  The four workhorses are
   and the diagonal of ``D`` a nonnegative divisibility chain ``d1 | d2 | ...``;
   ``U^-1`` comes with it, built from the inverses of the same row operations,
 * :class:`ColumnReduction` (and :func:`integer_kernel`) -- the integer
-  kernel of a matrix whose sparse rows are streamed in,
-* :class:`LatticeEchelon` -- a column echelon of the lattice spanned by some
-  generators that keeps each pivot's coordinates in them: built once per
-  lattice, it solves for the coordinates of any vector and gives a
-  saturated basis of the relations among the generators,
+  solutions of equations whose sparse rows are streamed in, each over Z or
+  modulo an integer: a kernel modulo torsion is one pass,
+* :class:`LatticeEchelon` -- a column echelon of the lattice spanned by
+  some generators that keeps each pivot's coordinates in them (a pivot
+  whose entries outgrow 64 bits is reduced modulo the later pivots):
+  built once per lattice, it solves for the coordinates of any vector and
+  gives a saturated basis of the relations among the generators,
 * :func:`subquotient_structure` -- the abelian group (kernel lattice)/(image
-  lattice), with generators and a membership test.  Cohomology of finite
+  lattice) and representatives of its generators.  Cohomology of finite
   groups reduces to exactly this computation.
 
 The pivot rule (smallest nonzero absolute value, ties broken by lowest
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -396,11 +398,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 class ColumnReduction:
     """Incremental integer column elimination against a stream of rows.
 
-    Rows of a matrix are fed one at a time as sparse ``{col: coeff}`` maps.
-    The object maintains integer column combinations forming a unimodular
-    transform of the identity; a combination survives only if it pairs to
-    zero with every row fed so far.  Once all rows are in, the survivors are
-    a basis of the integer kernel.  This streaming form is what makes the
+    Rows of a matrix are fed one at a time as sparse ``{col: coeff}`` maps,
+    each with a modulus q (0 by default).  The object maintains integer
+    column combinations forming a unimodular transform of the identity; a
+    combination survives only if it pairs with every row fed so far to 0
+    modulo that row's q.  Once all rows are in, the survivors are a basis of
+    the lattice of integer solutions.  This streaming form is what makes the
     bar-resolution cochain complexes tractable: differentials there have at
     most a dozen nonzero entries per row.
     """
@@ -409,7 +412,19 @@ class ColumnReduction:
         self.columns: list[list[int]] = [[1 if i == j else 0 for i in range(ncols)]
                                          for j in range(ncols)]
 
-    def feed(self, row: dict[int, int]) -> None:
+    def feed(self, row: dict[int, int], modulus: int = 0) -> None:
+        """Keep the combinations c with row . c = 0 mod modulus.
+
+        A nonzero modulus q enters as one more, zero column whose dot is q:
+        the survivors then span the kernel of [dots | q], and dropping the
+        zero column's coordinate is injective because q != 0, so the
+        number of columns never changes.
+
+        >>> cr = ColumnReduction(2)
+        >>> cr.feed({0: 1, 1: 1}, 3)
+        >>> cr.kernel()
+        [(1, -1), (3, 0)]
+        """
         if not row:
             return
         cols = self.columns
@@ -422,6 +437,9 @@ class ColumnReduction:
                 if v:
                     s += a * v
             dots.append(s)
+        if modulus:
+            cols.append([0] * len(cols[0]) if cols else [])
+            dots.append(modulus)
         nz = [j for j, d in enumerate(dots) if d]
         if not nz:
             return
@@ -477,10 +495,14 @@ class LatticeEchelon:
     Generators are inserted in order.  Each insertion step replaces a pivot
     w and the incoming vector v by two combinations through a 2 x 2 matrix
     of determinant 1 (from `ext_gcd`), and the same matrix acts on their
-    coordinates.  A generator that reduces to zero leaves its coordinates
-    as a relation; because every step is unimodular, the relations are a
-    saturated basis of the integer kernel of the generator matrix, each
-    with a positive leading entry.
+    coordinates.  A new or changed pivot with an entry beyond 64 bits is
+    first reduced at every later pivot row modulo that pivot's leading
+    entry, as in a Hermite form (Cohen, GTM 138, 2.4.2); without it the
+    entries can double in size step after step, to 81,101 bits on 64
+    generators of a torsion kernel.  A generator that reduces to zero
+    leaves its coordinates as a relation; because every step is
+    unimodular, the relations are a saturated basis of the integer kernel
+    of the generator matrix, each with a positive leading entry.
 
     >>> lat = LatticeEchelon([(2, 0), (0, 2), (2, 2)], 2)
     >>> lat.contains((4, -2)), lat.contains((1, 0))
@@ -509,15 +531,28 @@ class LatticeEchelon:
             if r not in cols:
                 if v[r] < 0:
                     v, c = [-x for x in v], [-x for x in c]
-                cols[r], coords[r] = v, c
+                self._set_pivot(r, v, c)
                 return
             w, cw = cols[r], coords[r]
             g, s, t = ext_gcd(w[r], v[r])
             x, y = w[r] // g, v[r] // g
-            cols[r] = [s * p + t * q for p, q in zip(w, v)]
-            coords[r] = [s * p + t * q for p, q in zip(cw, c)]
+            if t:
+                self._set_pivot(r, [s * p + t * q for p, q in zip(w, v)],
+                                [s * p + t * q for p, q in zip(cw, c)])
             v = [-y * p + x * q for p, q in zip(w, v)]
             c = [-y * p + x * q for p, q in zip(cw, c)]
+
+    def _set_pivot(self, r: int, w: list[int], cw: list[int]) -> None:
+        # once an entry outgrows 64 bits, w's entry at each later pivot row k
+        # is reduced modulo that pivot's lead; smaller pivots stay as they are
+        cols, coords = self.pivot_cols, self.pivot_coords
+        if max(map(abs, w)).bit_length() > 64:
+            for k in range(r + 1, self.dim):
+                q = w[k] // cols[k][k] if k in cols else 0
+                if q:
+                    w = [a - q * b for a, b in zip(w, cols[k])]
+                    cw = [a - q * b for a, b in zip(cw, coords[k])]
+        cols[r], coords[r] = w, cw
 
     def solve(self, v: Sequence[int]) -> Optional[Vector]:
         """Coordinates x with sum_k x_k gen_k = v, or None when v is not in
@@ -550,81 +585,51 @@ class LatticeEchelon:
 
 def subquotient_structure(kernel_vectors: Sequence[Sequence[int]],
                           image_vectors: Sequence[Sequence[int]],
-                          ) -> tuple[AbelianGroupStructure, list[Vector],
-                                     Callable[[Sequence[int]], Optional[Vector]]]:
+                          ) -> tuple[AbelianGroupStructure, list[Vector]]:
     """Structure of (lattice spanned by kernel_vectors)/(lattice of image_vectors).
 
     The kernel vectors must be Z-linearly independent and the image vectors
     must lie in the lattice they span (both are checked).  Returns the group
-    structure, ambient representatives for its generators (torsion generators
-    first, in invariant-factor order, then free generators), and a membership
-    procedure: given an ambient vector in the kernel lattice it returns
-    coefficients expressing it in terms of image_vectors, or None when the
-    vector is not in the image lattice.
+    structure and ambient representatives for its generators: torsion
+    generators first, in invariant-factor order, then free generators.
+    Membership in the image lattice is `LatticeEchelon(image_vectors, dim)`.
 
-    >>> s, reps, member = subquotient_structure([(2, 0), (0, 2)], [(2, 0), (0, 4)])
+    >>> s, reps = subquotient_structure([(2, 0), (0, 2)], [(2, 0), (0, 4)])
     >>> str(s)
     'Z/2'
     >>> reps
     [(0, 2)]
-    >>> member((2, 0))
-    (1, 0)
-    >>> member((0, 2)) is None
-    True
+    >>> LatticeEchelon([(2, 0), (0, 4)], 2).contains(reps[0])
+    False
     """
     kernel_vectors = [tuple(int(x) for x in v) for v in kernel_vectors]
     image_vectors = [tuple(int(x) for x in v) for v in image_vectors]
     if not kernel_vectors:
         if any(any(x for x in v) for v in image_vectors):
             raise ValueError("image vectors outside the zero lattice")
-        return AbelianGroupStructure(0, ()), [], lambda v: (0,) * len(image_vectors)
+        return AbelianGroupStructure(0, ()), []
     dim = len(kernel_vectors[0])
     s = len(kernel_vectors)
     lattice = LatticeEchelon(kernel_vectors, dim)
     if lattice.relations:
         raise ValueError("kernel vectors are not Z-linearly independent")
-
-    def in_kernel_coords(v: Sequence[int]) -> Vector:
+    coords = []
+    for v in image_vectors:
         x = lattice.solve(v)
         if x is None:
             raise ValueError("vector is not in the kernel lattice")
-        return x
-
-    coords = [in_kernel_coords(v) for v in image_vectors]
-    t = len(image_vectors)
-    amat = IntMatrix.from_rows([[c[i] for c in coords] for i in range(s)], cols=t)
+        coords.append(x)
+    amat = IntMatrix.from_rows([[c[i] for c in coords] for i in range(s)],
+                               cols=len(image_vectors))
     snf = smith_normal_form(amat)
     r = snf.rank
     invariants = snf.invariants
-    new_basis = [snf.uinv.column(i) for i in range(s)]  # basis adapted to the image
 
-    def ambient(col: Vector) -> Vector:
-        return tuple(sum(kernel_vectors[j][i] * col[j] for j in range(s)) for i in range(dim))
+    def ambient(i: int) -> Vector:
+        # column i of U^-1: a basis of the kernel lattice adapted to the image
+        col = snf.uinv.column(i)
+        return tuple(sum(kernel_vectors[j][k] * col[j] for j in range(s)) for k in range(dim))
 
-    torsion = []
-    reps: list[Vector] = []
-    for i in range(r):
-        if invariants[i] > 1:
-            torsion.append(invariants[i])
-            reps.append(ambient(new_basis[i]))
-    for i in range(r, s):
-        reps.append(ambient(new_basis[i]))
-    structure = AbelianGroupStructure(s - r, tuple(torsion))
-
-    u = snf.u
-    v = snf.v
-
-    def membership(vec: Sequence[int]) -> Optional[Vector]:
-        x = in_kernel_coords(vec)
-        y = u.apply(x)
-        w = [0] * t
-        for i in range(s):
-            if i < r:
-                if y[i] % invariants[i]:
-                    return None
-                w[i] = y[i] // invariants[i]
-            elif y[i]:
-                return None
-        return v.apply(w[:t]) if t else ()
-
-    return structure, reps, membership
+    reps = [ambient(i) for i in range(r) if invariants[i] > 1] + [ambient(i) for i in range(r, s)]
+    structure = AbelianGroupStructure(s - r, tuple(d for d in invariants if d > 1))
+    return structure, reps

@@ -374,33 +374,34 @@ class _Reduced:
 
     def kernel(self, rows: Iterable[dict[int, int]], ncols: int) -> list[Vector]:
         """Basis of the integer c with row_k . c = 0 mod moduli[k % n], the
-        rows sparse; each torsion equation gets an auxiliary column."""
-        rows = list(rows)
-        n = self.n
-        aux = [k for k in range(len(rows)) if self.moduli[k % n]]
-        cr = ColumnReduction(ncols + len(aux))
-        for col, k in enumerate(aux, ncols):
-            rows[k] = {**rows[k], col: self.moduli[k % n]}
-        for row in rows:
-            cr.feed(row)
-        ker = cr.kernel()
-        if not aux:
-            return ker
-        lat = LatticeEchelon([v[:ncols] for v in ker], ncols)
-        return [tuple(v) for v in lat.pivot_cols.values()]
+        rows sparse: one `ColumnReduction` pass over the ncols columns, so a
+        torsion-free module takes the plain integer kernel."""
+        cr = ColumnReduction(ncols)
+        n, moduli = self.n, self.moduli
+        for k, row in enumerate(rows):
+            cr.feed(row, moduli[k % n])
+        return cr.kernel()
 
-    def cyclic_operators(self, tau: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
-        """tau - 1 and the norm 1 + tau + ... + tau^(n-1) in reduced
-        coordinates, for an ambient action matrix tau of order n."""
-        # the rows u tau^k, so that the reduced matrices are u m uinv
-        power = self.u
-        norm_rows = IntMatrix.zero(self.n, self.rank)
+    def subquotient(self, rows: Iterable[dict[int, int]], ncols: int,
+                    image: Iterable[Sequence[int]]) -> tuple[AbelianGroupStructure, list[Vector]]:
+        """(kernel of the rows)/(image + torsion columns): the structure and
+        representatives of its generators."""
+        return subquotient_structure(self.kernel(rows, ncols),
+                                     list(image) + self.torsion_columns(ncols))
+
+    def cyclic_operators(self, act: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
+        """act - 1 and the norm 1 + act + ... + act^(n-1) for a generator of
+        order n acting by the square matrix act in reduced coordinates (a
+        module's `act`, or u tau uinv).  Only reduced matrices are
+        multiplied; act^n must be the identity modulo the moduli."""
+        ident = IntMatrix.identity(self.n)
+        power, norm = ident, IntMatrix.zero(self.n, self.n)
         for _ in range(n):
-            norm_rows = norm_rows + power
-            power = power @ tau
-        if not self.vanishes(power - self.u):
+            norm = norm + power
+            power = power @ act
+        if not self.vanishes(power - ident):
             raise ValueError("tau^n is not the identity on the quotient")
-        return (self.u @ tau - self.u) @ self.uinv, norm_rows @ self.uinv
+        return act - ident, norm
 
     def torsion_columns(self, ncols: int) -> list[Vector]:
         """The vectors moduli[k % n] * e_k: zero in the quotient."""
@@ -529,7 +530,7 @@ def _koszul_h1(group: FiniteGroup, module: GIntModule,
     red = module.red
     n = red.n
     gens = group.generators
-    ops = [red.cyclic_operators(module.action[s], k) for s, k in zip(gens, orders)]
+    ops = [red.cyclic_operators(module.act[s], k) for s, k in zip(gens, orders)]
     # equation blocks of n rows each, so row k holds modulo moduli[k % n]
     rows = [{i * n + c: x for c, x in row.items()}
             for i, (_, norm) in enumerate(ops) for row in sparse_rows(norm)]
@@ -538,10 +539,8 @@ def _koszul_h1(group: FiniteGroup, module: GIntModule,
             row = {j * n + c: x for c, x in ri.items()}
             row.update((i * n + c, -x) for c, x in rj.items())
             rows.append(row)
-    ncols = n * len(gens)
-    kernel = red.kernel(rows, ncols)
     image = [tuple(x for d, _ in ops for x in d.column(c)) for c in range(n)]
-    structure, reps, _ = subquotient_structure(kernel, image + red.torsion_columns(ncols))
+    structure, reps = red.subquotient(rows, n * len(gens), image)
     cocycles = []
     for vec in reps:
         m = {s: vec[i * n:i * n + n] for i, s in enumerate(gens)}
@@ -576,10 +575,7 @@ def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResu
         if orders is not None:
             return _koszul_h1(group, module, orders)
     bar = _BarComplex(group, module)
-    ncols = bar.dim(i)
-    kernel = red.kernel(bar.rows(i), ncols)
-    image = bar.image_columns(i) + red.torsion_columns(ncols)
-    structure, reps, _ = subquotient_structure(kernel, image)
+    structure, reps = red.subquotient(bar.rows(i), bar.dim(i), bar.image_columns(i))
     return CohomologyResult(structure, red.cochains(group, i, reps))
 
 
@@ -764,14 +760,13 @@ def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
     if not module.preserves(tau):
         raise ValueError("tau does not preserve the relations")
     red = module.red
-    rd, rn = red.cyclic_operators(tau, n)
+    rd, rn = red.cyclic_operators(red.u @ tau @ red.uinv, n)
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
     # H^0 = ker(tau - 1); odd i: ker(N)/im(tau - 1); even i > 0: ker(tau - 1)/im(N)
     kmat, imat = (rn, rd) if i % 2 else (rd, rn)
-    kernel = red.kernel(sparse_rows(kmat), red.n)
     image = [imat.column(j) for j in range(red.n)] if i else []
-    structure, reps, _ = subquotient_structure(kernel, image + red.torsion_columns(red.n))
+    structure, reps = red.subquotient(sparse_rows(kmat), red.n, image)
     amb_reps = [red.to_amb(r) for r in reps]
 
     def sigma(a: int, v: Vector) -> Vector:

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from bmcubic.exactlin import (
     AbelianGroupStructure,
+    ColumnReduction,
     IntMatrix,
     LatticeEchelon,
     ext_gcd,
@@ -251,6 +252,53 @@ def test_kernel_is_saturated_basis(m):
         assert smith_normal_form(kmat).invariants == (1,) * len(ker)
 
 
+@st.composite
+def torsion_systems(draw):
+    """Sparse rows over at most 6 columns, entries in -4..4, each row with
+    a modulus from {0, 2, 3, 4, 6, 9} (0: an equation over Z)."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), st.integers(-4, 4),
+                                         max_size=3), max_size=6))
+    moduli = [draw(st.sampled_from([0, 2, 3, 4, 6, 9])) for _ in rows]
+    return ncols, rows, moduli
+
+
+def kernel_with_auxiliary_columns(rows, moduli, ncols):
+    """The kernel modulo torsion with one auxiliary column per torsion row:
+    row . c + q * a = 0 over Z, then the auxiliary coordinates dropped."""
+    wide = [dict(row) for row in rows]
+    aux = ncols
+    for row, q in zip(wide, moduli):
+        if q:
+            row[aux] = q
+            aux += 1
+    return [v[:ncols] for v in integer_kernel(wide, aux)]
+
+
+@given(torsion_systems())
+def test_kernel_modulo_torsion_matches_auxiliary_columns(system):
+    ncols, rows, moduli = system
+    red = ColumnReduction(ncols)
+    for row, q in zip(rows, moduli):
+        red.feed(row, q)
+    ker = red.kernel()
+    # the same lattice as the auxiliary-column kernel
+    slow = kernel_with_auxiliary_columns(rows, moduli, ncols)
+    assert len(ker) == len(slow)
+    assert all(LatticeEchelon(slow, ncols).contains(v) for v in ker)
+    assert all(LatticeEchelon(ker, ncols).contains(v) for v in slow)
+    # every vector solves every row modulo its modulus
+    for v in ker:
+        for row, q in zip(rows, moduli):
+            dot = sum(a * v[c] for c, a in row.items())
+            assert (dot % q if q else dot) == 0
+    # with every modulus 0 the output is the plain integer kernel, exactly
+    plain = ColumnReduction(ncols)
+    for row in rows:
+        plain.feed(row, 0)
+    assert plain.kernel() == integer_kernel(rows, ncols)
+
+
 # --- lattice echelon: solving and membership --------------------------------
 
 def column_echelon(m):
@@ -336,19 +384,22 @@ def test_lattice_echelon_contains_combinations(gens, data):
 # --- subquotients ------------------------------------------------------------
 
 def test_subquotient_frozen():
-    s, reps, member = subquotient_structure([(2, 0), (0, 2)], [(2, 0), (0, 4)])
+    # membership in the image lattice is read from its LatticeEchelon
+    s, reps = subquotient_structure([(2, 0), (0, 2)], [(2, 0), (0, 4)])
     assert s == AbelianGroupStructure(0, (2,))
     assert reps == [(0, 2)]
+    member = LatticeEchelon([(2, 0), (0, 4)], 2).solve
     assert member((2, 0)) == (1, 0)
     assert member((0, 2)) is None
 
-    s, reps, member = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 2)])
+    s, reps = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 2)])
     assert s == AbelianGroupStructure(0, (2, 2))
     assert len(reps) == 2
 
-    s, reps, member = subquotient_structure([(1, 0)], [])
+    s, reps = subquotient_structure([(1, 0)], [])
     assert s == AbelianGroupStructure(1, ())
     assert reps == [(1, 0)]
+    member = LatticeEchelon([], 2).solve
     assert member((3, 0)) is None
     assert member((0, 0)) == ()
 
@@ -388,8 +439,9 @@ def subquotient_instances(draw):
 @given(subquotient_instances(), st.data())
 def test_subquotient_membership_and_orders(inst, data):
     vecs, imgs = inst
-    s, reps, member = subquotient_structure(vecs, imgs)
+    s, reps = subquotient_structure(vecs, imgs)
     dim = 4
+    member = LatticeEchelon(imgs, dim).solve
     # every image combination is a member and its expression reconstructs it
     if imgs:
         coeffs = [data.draw(st.integers(-3, 3)) for _ in imgs]

@@ -6,6 +6,7 @@ reproduce them, and the two resolutions must agree wherever both apply.
 """
 
 from itertools import islice, product
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmcubic import groupcohom
-from bmcubic.exactlin import ColumnReduction, IntMatrix, LatticeEchelon
+from bmcubic.exactlin import AbelianGroupStructure, ColumnReduction, IntMatrix, LatticeEchelon
 from bmcubic.groupcohom import (
     _BarComplex,
     Cochain,
@@ -232,6 +233,39 @@ def test_regular_c4_degree_three_keeps_columns_small():
         red.feed(row)
     assert max(abs(x).bit_length() for col in red.columns for x in col) < 64
     assert cohomology(g, m, 3).structure.is_trivial
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_trivial_torsion_coefficients_over_cyclic_groups(m):
+    # the periodic resolution: H^i(C_m, Z/n) = Z/gcd(m, n) for every i >= 1
+    # when the action is trivial; degree 1 runs the Koszul complex, degrees
+    # 2 and 3 the bar complex
+    g = cyclic_group(m)
+    for n in range(2, 7):
+        module = trivial_module(g, 1, [(n,)])
+        d = gcd(m, n)
+        want = AbelianGroupStructure(0, (d,) if d > 1 else ())
+        for i in (1, 2, 3):
+            assert cohomology(g, module, i).structure == want, (n, i)
+
+
+def test_h2_of_c3_squared_with_z3_coefficients():
+    # Kuenneth: H^2((Z/3)^2, Z/3) = (Z/3)^3, r(r+1)/2 copies for r = 2
+    g = product_group(3, 3)
+    res = cohomology(g, trivial_module(g, 1, [(3,)]), 2)
+    assert res.structure == AbelianGroupStructure(0, (3, 3, 3))
+
+
+def test_subquotient_echelon_entries_stay_small():
+    # LatticeEchelon reduces a pivot past 64 bits modulo the later pivots:
+    # without it the echelon of this 64-vector kernel (C5, Z/5, degree 3)
+    # reaches 81,101 bits and the cohomology call takes seconds
+    g = cyclic_group(5)
+    module = trivial_module(g, 1, [(5,)])
+    bar = _BarComplex(g, module)
+    lat = LatticeEchelon(module.red.kernel(bar.rows(3), bar.dim(3)), bar.dim(3))
+    for vectors in (lat.pivot_cols, lat.pivot_coords):
+        assert max(abs(x).bit_length() for w in vectors.values() for x in w) <= 64
 
 
 def test_generator_orders():
