@@ -305,7 +305,7 @@ class _LocalModel:
         self.val = np.zeros(ring.size, dtype=np.int64)
         for k in range(1, precision + 1):
             low = residue_ring(place, k)
-            self.val += low.pack(ring.reduce_to(x, low)) == 0
+            self.val += low.pack(low.reduce(x)) == 0
         self.one = ring.pack(ring.one)
         sq = ring.mul(x, x)
         cube = ring.mul(sq, x)
@@ -331,8 +331,7 @@ class _LocalModel:
         """Per id, the id of its representative mod pi^r: the element whose
         digits are its own reduced mod pi^r."""
         ring = self.ring
-        return ring.pack(ring.reduce_to(ring.unpack(self.ids),
-                                        residue_ring(self.place, r)))
+        return ring.pack(residue_ring(self.place, r).reduce(ring.unpack(self.ids)))
 
     def stratum(self, w: Optional[int]):
         """The pools and root tables of one walk, built once.
@@ -541,9 +540,6 @@ class _ClassEvaluator:
         if self.split:
             return
         self.lo = residue_ring(place, self.m_v)
-        # unit parts of values of valuation v live at precision N - v
-        self.unit_rings = tuple(residue_ring(place, precision - v)
-                                for v in range(precision))
         numerators: list[tuple] = []
         self.num_index: dict[tuple, int] = {}
         self.charts = []
@@ -567,8 +563,7 @@ class _ClassEvaluator:
         self.table = invariant_table(cls.theta, place)
 
     def _unit_mod_m(self, value, v: int):
-        u = self.ring.unit_part(value, v)
-        return self.unit_rings[v].reduce_to(u, self.lo)
+        return self.lo.reduce(self.ring.unit_part(value, v))
 
     def numerator_values(self, pows) -> list:
         """The numerators at a class, from its coordinate powers
@@ -758,8 +753,7 @@ class _VecEngine:
         for v in range(self.precision):
             at_v = np.flatnonzero(model.val == v)
             u = ring.unit_part(ring.unpack(at_v), v)
-            ulow[at_v] = lo.pack(
-                residue_ring(place, self.precision - v).reduce_to(u, lo))
+            ulow[at_v] = lo.pack(lo.reduce(u))
         jtab = np.full((3, lo.size), -1, dtype=np.int64)
         for (v, pu), j in invariant_table(self.cls.theta, place).items():
             jtab[v, pu] = j

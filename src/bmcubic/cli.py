@@ -78,6 +78,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _check_counts(args) -> None:
+    """--jobs and --precision count workers and digits: each is at least 1."""
+    for flag in ("jobs", "precision"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{flag} must be at least 1")
+
+
 def _add_output_flags(sp):
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     sp.add_argument("--format", choices=("json", "text"), default="json",
@@ -331,7 +339,7 @@ def cmd_scan(args, cap) -> int:
     agree = 0
     histogram: dict[str, int] = {}
     disagreements: list[dict] = []
-    step = max(1, len(tuples) // (max(args.jobs, 1) * 8))
+    step = max(1, len(tuples) // (args.jobs * 8))
     chunks = [tuples[i:i + step] for i in range(0, len(tuples), step)]
     with ExitStack() as stack:
         mapper = map
@@ -358,8 +366,6 @@ def cmd_local(args, cap) -> int:
     started = time.monotonic()
     coeffs = _parse_coefficients(args.coefficients)
     precision = args.precision
-    if precision is not None and precision < 1:
-        raise _UsageError("--precision must be at least 1")
     h1 = str(table_classification(coeffs))
     try:
         cls = class_for(coeffs, args.charts)
@@ -398,8 +404,6 @@ def cmd_obstruct(args, cap) -> int:
     started = time.monotonic()
     coeffs = _parse_coefficients(args.coefficients)
     precision = args.precision
-    if precision is not None and precision < 1:
-        raise _UsageError("--precision must be at least 1")
     try:
         cls = class_for(coeffs, args.charts)
     except ChartsUnavailable as exc:
@@ -467,6 +471,7 @@ def main(argv=None) -> int:
             print(f"bm: error: {PRECISION_CAP_ENV} must be positive", file=sys.stderr)
             return 1
     try:
+        _check_counts(args)
         return args.func(args, cap)
     except _UsageError as exc:
         print(f"bm: error: {exc}", file=sys.stderr)

@@ -362,7 +362,7 @@ def _mod(x, m):
 class _RingBase:
     """Common interface: elements are ints (split) or int pairs, numbered
     0..size-1 by pack in the order of elements().  The arithmetic, pack,
-    unpack, reduce_to and unit_part also act elementwise on integer arrays,
+    unpack and unit_part also act elementwise on integer arrays,
     and take(e, ids) gathers the entries ids of such an array element.
 
     Every element has one canonical (reduced) representative, and every
@@ -386,11 +386,6 @@ class _RingBase:
 
     def add(self, e1, e2):
         return self.reduce(self.add_raw(e1, e2))
-
-    def reduce_to(self, e, target: "_RingBase"):
-        """The residue of e in a ring of the same place and another
-        precision."""
-        return target.reduce(e)
 
     def embed(self, x: EisensteinNumber):
         """Residue of x, which must have valuation >= 0 at the place."""
@@ -498,35 +493,22 @@ class _SplitRing(_RingBase):
         return EisensteinNumber(e)
 
 
-class _InertRing(_RingBase):
-    """o_v/pi^N for an inert place: pairs (a, b) mod p^N meaning a + b*zeta."""
+class _PairRing(_RingBase):
+    """o_v/pi^N for a place that is not split: pairs (a, b) of integers, a
+    carried mod ma and b mod mb, numbered a * mb + b."""
 
-    def __init__(self, place: Place, precision: int):
+    def __init__(self, place: Place, precision: int, ma: int, mb: int):
         self.place = place
         self.precision = precision
-        self.modulus = place.p ** precision
-        self.size = self.modulus ** 2
-        self.one = (1 % self.modulus, 0)
+        self.ma, self.mb = ma, mb
+        self.size = ma * mb
+        self.one = (1 % ma, 0)
         self.zero = (0, 0)
-        self.zeta = (0, 1 % self.modulus)
-
-    def _embed_fraction(self, a: int, b: int, k: int, d: int):
-        pk = self.place.p ** k
-        if a % pk or b % pk:
-            raise ValueError("element has negative valuation at the place")
-        dinv = pow(d, -1, self.modulus)
-        return (a // pk * dinv % self.modulus, b // pk * dinv % self.modulus)
 
     def reduce(self, e):
         a, b = e
-        m = self.modulus
-        return (a - a // m * m, b - b // m * m)
-
-    def mul_raw(self, e1, e2):
-        a1, b1 = e1
-        a2, b2 = e2
-        # zeta^2 = -1 - zeta
-        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * (a2 - b2))
+        ma, mb = self.ma, self.mb
+        return (a - a // ma * ma, b - b // mb * mb)
 
     def add_raw(self, e1, e2):
         return (e1[0] + e2[0], e1[1] + e2[1])
@@ -534,11 +516,47 @@ class _InertRing(_RingBase):
     def neg(self, e):
         return self.reduce((-e[0], -e[1]))
 
+    def elements(self) -> Iterator:
+        return ((a, b) for a in range(self.ma) for b in range(self.mb))
+
+    def pack(self, e) -> int:
+        return e[0] * self.mb + e[1]
+
+    def unpack(self, k):
+        q = k // self.mb
+        return (q, k - q * self.mb)
+
+    def take(self, e, ids):
+        return (e[0][ids], e[1][ids])
+
+
+class _InertRing(_PairRing):
+    """o_v/pi^N for an inert place: pairs (a, b) mod p^N meaning a + b*zeta."""
+
+    def __init__(self, place: Place, precision: int):
+        m = place.p ** precision
+        super().__init__(place, precision, m, m)
+        self.zeta = (0, 1 % m)
+
+    def _embed_fraction(self, a: int, b: int, k: int, d: int):
+        pk = self.place.p ** k
+        if a % pk or b % pk:
+            raise ValueError("element has negative valuation at the place")
+        m = self.ma
+        dinv = pow(d, -1, m)
+        return (a // pk * dinv % m, b // pk * dinv % m)
+
+    def mul_raw(self, e1, e2):
+        a1, b1 = e1
+        a2, b2 = e2
+        # zeta^2 = -1 - zeta
+        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * (a2 - b2))
+
     def inv(self, e):
         a, b = e
         conj = self.reduce((a - b, -b))
-        n = (a * a - a * b + b * b) % self.modulus
-        ninv = pow(n, -1, self.modulus)
+        n = (a * a - a * b + b * b) % self.ma
+        ninv = pow(n, -1, self.ma)
         return self.mul(conj, (ninv, 0))
 
     def valuation(self, e) -> int:
@@ -554,25 +572,11 @@ class _InertRing(_RingBase):
         pv = self.place.p ** v
         return (e[0] // pv, e[1] // pv)
 
-    def elements(self) -> Iterator:
-        m = self.modulus
-        return ((a, b) for a in range(m) for b in range(m))
-
-    def pack(self, e) -> int:
-        return e[0] * self.modulus + e[1]
-
-    def unpack(self, k):
-        q = k // self.modulus
-        return (q, k - q * self.modulus)
-
-    def take(self, e, ids):
-        return (e[0][ids], e[1][ids])
-
     def lift(self, e) -> EisensteinNumber:
         return EisensteinNumber(e[0], e[1])
 
 
-class _RamifiedRing(_RingBase):
+class _RamifiedRing(_PairRing):
     """o_v/pi^N at the place over 3: pairs (s, t) meaning s + t*pi.
 
     s is carried mod 3^ceil(N/2) and t mod 3^floor(N/2); that is exactly the
@@ -580,19 +584,13 @@ class _RamifiedRing(_RingBase):
     """
 
     def __init__(self, place: Place, precision: int):
-        self.place = place
-        self.precision = precision
-        self.sa = (precision + 1) // 2
-        self.sb = precision // 2
-        self.ms = 3 ** self.sa
-        self.mt = 3 ** self.sb
-        self.size = self.ms * self.mt
-        self.one = (1 % self.ms, 0)
-        self.zero = (0, 0)
+        super().__init__(place, precision, 3 ** ((precision + 1) // 2),
+                         3 ** (precision // 2))
         # zeta = (-1 + pi) / 2
-        inv2s = pow(2, -1, self.ms) if self.ms > 1 else 0
-        inv2t = pow(2, -1, self.mt) if self.mt > 1 else 0
-        self.zeta = (-inv2s % self.ms, inv2t % self.mt)
+        ms, mt = self.ma, self.mb
+        inv2s = pow(2, -1, ms) if ms > 1 else 0
+        inv2t = pow(2, -1, mt) if mt > 1 else 0
+        self.zeta = (-inv2s % ms, inv2t % mt)
 
     def _embed_fraction(self, a: int, b: int, k: int, d: int):
         pk = 3 ** k
@@ -601,18 +599,14 @@ class _RamifiedRing(_RingBase):
         a //= pk
         b //= pk
         # a + b*zeta = (a - b/2) + (b/2)*pi
-        inv2s = pow(2, -1, self.ms) if self.ms > 1 else 0
-        inv2t = pow(2, -1, self.mt) if self.mt > 1 else 0
-        dinvs = pow(d, -1, self.ms) if self.ms > 1 else 0
-        dinvt = pow(d, -1, self.mt) if self.mt > 1 else 0
-        s = (2 * a - b) * inv2s * dinvs % self.ms
-        t = b * inv2t * dinvt % self.mt
+        ms, mt = self.ma, self.mb
+        inv2s = pow(2, -1, ms) if ms > 1 else 0
+        inv2t = pow(2, -1, mt) if mt > 1 else 0
+        dinvs = pow(d, -1, ms) if ms > 1 else 0
+        dinvt = pow(d, -1, mt) if mt > 1 else 0
+        s = (2 * a - b) * inv2s * dinvs % ms
+        t = b * inv2t * dinvt % mt
         return (s, t)
-
-    def reduce(self, e):
-        s, t = e
-        ms, mt = self.ms, self.mt
-        return (s - s // ms * ms, t - t // mt * mt)
 
     def mul_raw(self, e1, e2):
         s1, t1 = e1
@@ -620,17 +614,12 @@ class _RamifiedRing(_RingBase):
         # (s1 + t1 pi)(s2 + t2 pi) = s1 s2 - 3 t1 t2 + (s1 t2 + s2 t1) pi
         return (s1 * s2 - 3 * t1 * t2, s1 * t2 + s2 * t1)
 
-    def add_raw(self, e1, e2):
-        return (e1[0] + e2[0], e1[1] + e2[1])
-
-    def neg(self, e):
-        return self.reduce((-e[0], -e[1]))
-
     def inv(self, e):
         s, t = e
-        n = (s * s + 3 * t * t) % self.ms
-        ninvs = pow(n, -1, self.ms)
-        ninvt = pow(n % self.mt, -1, self.mt) if self.mt > 1 else 0
+        ms, mt = self.ma, self.mb
+        n = (s * s + 3 * t * t) % ms
+        ninvs = pow(n, -1, ms)
+        ninvt = pow(n % mt, -1, mt) if mt > 1 else 0
         return self.reduce((s * ninvs, -t * ninvt))
 
     def valuation(self, e) -> int:
@@ -650,19 +639,6 @@ class _RamifiedRing(_RingBase):
             s, t = t, -(s // 3)
         n = self.precision - v
         return (_mod(s, 3 ** ((n + 1) // 2)), _mod(t, 3 ** (n // 2)))
-
-    def elements(self) -> Iterator:
-        return ((s, t) for s in range(self.ms) for t in range(self.mt))
-
-    def pack(self, e) -> int:
-        return e[0] * self.mt + e[1]
-
-    def unpack(self, k):
-        q = k // self.mt
-        return (q, k - q * self.mt)
-
-    def take(self, e, ids):
-        return (e[0][ids], e[1][ids])
 
     def lift(self, e) -> EisensteinNumber:
         # s + t*pi with pi = 1 + 2*zeta
@@ -785,8 +761,8 @@ def tame_hilbert_symbol(u: LocalElement, theta: LocalElement, place: Place) -> I
         raise PrecisionError("unit residues unknown even mod pi")
     a, b = u.valuation, theta.valuation
     field = residue_ring(place, 1)
-    uu = residue_ring(place, u.precision).reduce_to(u.unit, field)
-    tt = residue_ring(place, theta.precision).reduce_to(theta.unit, field)
+    uu = field.reduce(u.unit)
+    tt = field.reduce(theta.unit)
     w = field.mul(field.pow(uu, b), field.pow(tt, -a))
     if (a * b) % 2:
         w = field.neg(w)
@@ -890,6 +866,6 @@ def cyclic_invariant(u, theta, place: Place) -> InvariantValue:
     if u.precision < m:
         raise PrecisionError(f"unit residue needed mod pi^{m}, have pi^{u.precision}")
     lo = residue_ring(place, m)
-    unit = residue_ring(place, u.precision).reduce_to(u.unit, lo)
+    unit = lo.reduce(u.unit)
     table = invariant_table(theta, place)
     return InvariantValue(table[(u.valuation % 3, lo.pack(unit))])

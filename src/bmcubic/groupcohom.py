@@ -2,23 +2,25 @@
 
 Modules are presented uniformly as an ambient lattice Z^rank together with a
 relation lattice, so quotients like Z^27 modulo a rank-20 relation lattice
-need no special casing.  Cochains live on the normalized bar resolution
-(values on tuples containing the identity vanish), which keeps the cochain
-spaces small enough that kernels of the differentials can be streamed through
-integer column elimination.  H^1 of a direct sum of cyclic groups, every
-Galois group of a diagonal cubic among them, is taken on the much smaller
-Koszul complex of that sum and returned as bar cocycles.
+need no special casing.  `cohomology` picks one route per group shape.  A
+group generated by one element runs on its periodic complex (tau - 1 and
+the norm, alternating) in every degree.  H^1 of a direct sum of cyclic
+groups, every Galois group of a diagonal cubic among them, runs on the
+Koszul complex of that sum.  Everything else runs on the normalized bar
+resolution (values on tuples containing the identity vanish), which keeps
+the cochain spaces small enough that kernels of the differentials can be
+streamed through integer column elimination.  Every route returns
+normalized bar cocycles.
 
 Beyond the plain cohomology groups the module provides what the descent
 computation actually consumes: explicit cocycle representatives, coboundary
 solving (degrees one and two, plus normalized degree three), the connecting
-homomorphism of a short exact sequence of modules, invariant submodules with
-the induced quotient-group action, and the two-periodic complex of a cyclic
-group together with the comparison maps into the bar complex.  Each module
-owns one layer of reduced (Smith normal form) coordinates, built once per
-relation lattice, and the action in them.  Every membership test reads
-them: the checks on the action, both resolutions, the exact-sequence checks
-and the invariant submodule.
+homomorphism of a short exact sequence of modules, and invariant submodules
+with the induced quotient-group action.  Each module owns one layer of
+reduced (Smith normal form) coordinates, built once per relation lattice,
+and the action in them.  Every membership test reads them: the checks on
+the action, every complex, the exact-sequence checks and the invariant
+submodule.
 """
 
 from __future__ import annotations
@@ -250,10 +252,10 @@ class GIntModule:
         if self.action[0] != IntMatrix.identity(rank):
             raise ValueError("identity must act as the identity matrix")
         self.red = red = _reduced(rank, self.relations)
-        self._relation_columns = IntMatrix.from_rows(self.relations, cols=rank).transpose()
+        relation_columns = IntMatrix.from_rows(self.relations, cols=rank).transpose()
         ua = [red.u @ a for a in self.action]
-        # (u a) R = u (a R): the preservation test of `preserves`, reusing u a
-        if not all(red.vanishes(m @ self._relation_columns) for m in ua):
+        # a preserves the relations when u (a R) = (u a) R vanishes
+        if not all(red.vanishes(m @ relation_columns) for m in ua):
             raise ValueError("action does not preserve the relations")
         self.act = tuple(m @ red.uinv for m in ua)
         for g in group.generators:
@@ -267,10 +269,6 @@ class GIntModule:
     def kills(self, m: IntMatrix) -> bool:
         """Whether every column of m (rank rows) is zero in the module."""
         return self.red.vanishes(self.red.u @ m)
-
-    def preserves(self, a: IntMatrix) -> bool:
-        """Whether the rank x rank matrix a maps the relations into themselves."""
-        return self.kills(a @ self._relation_columns)
 
 
 def action_from_generators(group: FiniteGroup, rank: int,
@@ -392,8 +390,8 @@ class _Reduced:
     def cyclic_operators(self, act: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
         """act - 1 and the norm 1 + act + ... + act^(n-1) for a generator of
         order n acting by the square matrix act in reduced coordinates (a
-        module's `act`, or u tau uinv).  Only reduced matrices are
-        multiplied; act^n must be the identity modulo the moduli."""
+        module's `act`).  Only reduced matrices are multiplied; act^n must be
+        the identity modulo the moduli."""
         ident = IntMatrix.identity(self.n)
         power, norm = ident, IntMatrix.zero(self.n, self.n)
         for _ in range(n):
@@ -501,7 +499,6 @@ class _BarComplex:
 class CohomologyResult:
     structure: AbelianGroupStructure
     generators: tuple[Cochain, ...]
-    periodic_vectors: Optional[tuple[Vector, ...]] = None
 
 
 def _koszul_orders(group: FiniteGroup) -> Optional[list[int]]:
@@ -520,45 +517,77 @@ def _koszul_orders(group: FiniteGroup) -> Optional[list[int]]:
     return orders if prod(orders) == group.order else None
 
 
-def _koszul_h1(group: FiniteGroup, module: GIntModule,
-               orders: Sequence[int]) -> CohomologyResult:
-    """H^1 of the direct sum of the cyclic groups <s_i> of order n_i on its
-    Koszul complex, in reduced coordinates, one block m_i per generator:
-    Z^1 = {(m_i) : N_i m_i = 0, (s_i - 1) m_j = (s_j - 1) m_i} and
-    B^1 = {((s_i - 1) m)_i}.  Each class returns as the normalized bar
-    cocycle f(s h) = m_s + s f(h) along the Cayley walk."""
+def _koszul(group: FiniteGroup, module: GIntModule, orders: Sequence[int],
+            i: int) -> CohomologyResult:
+    """H^i of the direct sum of the cyclic groups <s_j> of order n_j on its
+    Koszul complex, in reduced coordinates, one block m_j per generator.
+
+    Degree 1 takes Z^1 = {(m_j) : N_j m_j = 0, (s_j - 1) m_k = (s_k - 1) m_j}
+    modulo B^1 = {((s_j - 1) m)_j}.  With one generator s of order n the
+    complex is periodic (Brown, GTM 87, I.6): odd degrees take
+    ker(N)/im(s - 1), even degrees ker(s - 1)/im(N), and H^0 = ker(s - 1).
+    Each class returns as a normalized bar cocycle: in degree 1
+    f(s h) = m_s + s f(h) along the Cayley walk; in degree i, that cocycle
+    (odd i) or the class vector v (even i) times the carry [a + b >= n] of
+    each later pair of arguments (s^a, s^b), the cup product with the
+    generator of H^2(C_n, Z) (Brown, VI.9)."""
     red = module.red
     n = red.n
     gens = group.generators
     ops = [red.cyclic_operators(module.act[s], k) for s, k in zip(gens, orders)]
-    # equation blocks of n rows each, so row k holds modulo moduli[k % n]
-    rows = [{i * n + c: x for c, x in row.items()}
-            for i, (_, norm) in enumerate(ops) for row in sparse_rows(norm)]
-    for i, j in combinations(range(len(gens)), 2):
-        for ri, rj in zip(sparse_rows(ops[i][0]), sparse_rows(ops[j][0])):
-            row = {j * n + c: x for c, x in ri.items()}
-            row.update((i * n + c, -x) for c, x in rj.items())
-            rows.append(row)
-    image = [tuple(x for d, _ in ops for x in d.column(c)) for c in range(n)]
+    if i % 2:
+        # equation blocks of n rows each, so row k holds modulo moduli[k % n]
+        rows = [{j * n + c: x for c, x in row.items()}
+                for j, (_, norm) in enumerate(ops) for row in sparse_rows(norm)]
+        for j, k in combinations(range(len(gens)), 2):
+            for rj, rk in zip(sparse_rows(ops[j][0]), sparse_rows(ops[k][0])):
+                row = {k * n + c: x for c, x in rj.items()}
+                row.update((j * n + c, -x) for c, x in rk.items())
+                rows.append(row)
+        image = [tuple(x for d, _ in ops for x in d.column(c)) for c in range(n)]
+    else:
+        ((diff, norm),) = ops
+        rows = sparse_rows(diff)
+        image = [norm.column(c) for c in range(n)] if i else []
     structure, reps = red.subquotient(rows, n * len(gens), image)
+    walk = list(_cayley_walk(group, gens))
+    power = {0: 0}
+    for s, h, sh in walk:
+        power[sh] = power[h] + 1
+
+    def carries(t):
+        return all(power[a] + power[b] >= group.order for a, b in zip(t[::2], t[1::2]))
+
+    zero = (0,) * module.rank
     cocycles = []
     for vec in reps:
-        m = {s: vec[i * n:i * n + n] for i, s in enumerate(gens)}
-        f = {0: (0,) * n}
-        for s, h, sh in _cayley_walk(group, gens):
-            f[sh] = tuple(map(add, m[s], module.act[s].apply(f[h])))
-        cocycles.append(Cochain(1, {(g,): red.to_amb(f[g]) for g in range(group.order)}))
+        if i % 2:
+            m = {s: vec[j * n:j * n + n] for j, s in enumerate(gens)}
+            f = {0: (0,) * n}
+            for s, h, sh in walk:
+                f[sh] = tuple(map(add, m[s], module.act[s].apply(f[h])))
+            amb = {g: red.to_amb(f[g]) for g in f}
+            values = {t: amb[t[0]] if carries(t[1:]) else zero
+                      for t in product(range(group.order), repeat=i)}
+        else:
+            v = red.to_amb(vec)
+            values = {t: v if carries(t) else zero
+                      for t in product(range(group.order), repeat=i)}
+        cocycles.append(Cochain(i, values))
     return CohomologyResult(structure, tuple(cocycles))
 
 
 def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResult:
     """H^i(G, M) with explicit cocycle representatives.
 
-    H^1 of a group that is the direct sum of the cyclic groups of its
-    generators (they commute pairwise and their orders multiply to |G|) runs
-    on the Koszul complex of that sum: every cyclic group and every subgroup
-    of (Z/3)^3 given by an F_3 basis.  Every other group and degree runs on
-    the normalized bar complex; both give bar cocycles.
+    The route is read off the group's generators.  A group generated by one
+    element runs on its periodic complex in every degree.  H^1 of a group
+    that is the direct sum of the cyclic groups of its generators (they
+    commute pairwise and their orders multiply to |G|), every subgroup of
+    (Z/3)^3 given by an F_3 basis among them, runs on the Koszul complex of
+    that sum.  Everything else runs on the normalized bar complex: S3, a
+    redundant generating set, and every degree but 1 of a group with several
+    generators.  Every route gives normalized bar cocycles.
 
     >>> g = cyclic_group(3)
     >>> m = GIntModule(g, 1, [], [IntMatrix.identity(1)] * 3)
@@ -570,10 +599,9 @@ def cohomology(group: FiniteGroup, module: GIntModule, i: int) -> CohomologyResu
     red = module.red
     if red.n == 0:
         return CohomologyResult(AbelianGroupStructure(0, ()), ())
-    if i == 1:
-        orders = _koszul_orders(group)
-        if orders is not None:
-            return _koszul_h1(group, module, orders)
+    orders = _koszul_orders(group)
+    if orders is not None and (len(orders) == 1 or i == 1):
+        return _koszul(group, module, orders, i)
     bar = _BarComplex(group, module)
     structure, reps = red.subquotient(bar.rows(i), bar.dim(i), bar.image_columns(i))
     return CohomologyResult(structure, red.cochains(group, i, reps))
@@ -738,57 +766,3 @@ def invariants_module(module: GIntModule, subgroup: Iterable[int]) -> Invariants
         new_action.append(IntMatrix.from_rows([coords(a.apply(b)) for b in basis]).transpose())
     m = GIntModule(quotient, inv_rank, new_rels, new_action)
     return InvariantsModule(m, zb, quotient, coset_of)
-
-
-# ----------------------------------------------------------------- cyclic
-
-def cyclic_cohomology(tau: IntMatrix, n: int, module: GIntModule,
-                      i: int) -> CohomologyResult:
-    """H^i of the order-n cyclic group via the two-periodic complex.
-
-    The complex alternates between tau - 1 and the norm 1 + tau + ... +
-    tau^(n-1); representatives are single module vectors, returned both as
-    such and as bar-resolution cochains through the standard comparison maps.
-    """
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    if i > 3:
-        raise ValueError("bar representatives are provided for degrees 0..3")
-    rank = module.rank
-    if tau.rows != rank or tau.cols != rank:
-        raise ValueError("action matrix has wrong shape")
-    if not module.preserves(tau):
-        raise ValueError("tau does not preserve the relations")
-    red = module.red
-    rd, rn = red.cyclic_operators(red.u @ tau @ red.uinv, n)
-    if red.n == 0:
-        return CohomologyResult(AbelianGroupStructure(0, ()), (), ())
-    # H^0 = ker(tau - 1); odd i: ker(N)/im(tau - 1); even i > 0: ker(tau - 1)/im(N)
-    kmat, imat = (rn, rd) if i % 2 else (rd, rn)
-    image = [imat.column(j) for j in range(red.n)] if i else []
-    structure, reps = red.subquotient(sparse_rows(kmat), red.n, image)
-    amb_reps = [red.to_amb(r) for r in reps]
-
-    def sigma(a: int, v: Vector) -> Vector:
-        # v + tau v + ... + tau^(a-1) v
-        acc = [0] * rank
-        for _ in range(a):
-            acc = [x + y for x, y in zip(acc, v)]
-            v = tau.apply(v)
-        return tuple(acc)
-
-    zero = (0,) * rank
-    gens = []
-    for v in amb_reps:
-        if i == 0:
-            gens.append(Cochain(0, {(): v}))
-        elif i == 1:
-            gens.append(Cochain(1, {(a,): sigma(a, v) for a in range(n)}))
-        elif i == 2:
-            gens.append(Cochain(2, {(a, b): v if a + b >= n else zero
-                                    for a in range(n) for b in range(n)}))
-        else:
-            gens.append(Cochain(3, {(a, b, cc): sigma(a, v) if b + cc >= n else zero
-                                    for a in range(n) for b in range(n)
-                                    for cc in range(n)}))
-    return CohomologyResult(structure, tuple(gens), tuple(amb_reps))

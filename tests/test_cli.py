@@ -6,6 +6,7 @@ depend on the worker count, and every exit code has a driver here.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,15 @@ from bmcubic.chartio import (
     load_charts,
 )
 from bmcubic.cli import main
+
+
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+def golden(name):
+    """The stored report of a run: bytes of a fixed input never change
+    unless a change to the program says why."""
+    return (REPORTS / f"{name}.json").read_bytes()
 
 
 def run(capsys, *argv):
@@ -153,6 +163,23 @@ def test_version_and_help_exit_zero(capsys):
     assert main(["h1", "--help"]) == 0
 
 
+GOLDEN_RUNS = {
+    "h1-5-9-10-12": ["h1", "-c", "5,9,10,12"],
+    "h1-1-1-1-2": ["h1", "-c", "1,1,1,2"],
+    "lines-5-9-10-12": ["lines", "-c", "5,9,10,12"],
+    "scan-1-6": ["scan", "--range", "1..6"],
+    "verify-paper-quick": ["verify-paper", "--quick"],
+    "obstruct-5-9-10-12": ["obstruct", "-c", "5,9,10,12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_reports_match_the_goldens(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out.encode() == golden(name)
+
+
 # --------------------------------------------------------------------- exit codes
 
 def test_invalid_inputs_exit_1(capsys):
@@ -161,8 +188,15 @@ def test_invalid_inputs_exit_1(capsys):
     assert run(capsys, "h1", "-c", "a,b,c,d")[0] == 1
     assert run(capsys, "local", "-c", "1,1,1,1", "--place", "4")[0] == 1
     assert run(capsys, "scan", "--range", "6..1")[0] == 1
-    assert run(capsys, "local", "-c", "1,1,1,1", "--place", "3",
-               "--precision", "0")[0] == 1
+    assert run(capsys, "local", "-c", "1,1,1,1", "--place", "3", "--precision", "0") \
+        == (1, "", "bm: error: --precision must be at least 1\n")
+    for argv in (["scan", "--range", "1..1"], ["local", "-c", "1,1,1,2", "--place", "7"],
+                 ["obstruct", "-c", "1,1,1,2"], ["verify-paper", "--quick"]):
+        code, out, err = run(capsys, *argv, "--jobs", "0")
+        assert code == 1 and out == ""
+        assert err == "bm: error: --jobs must be at least 1\n"
+    assert run(capsys, "local", "-c", "1,1,1,2", "--place", "7",
+               "--jobs", "-2")[0] == 1
     assert main([]) == 1
     capsys.readouterr()
 
@@ -214,7 +248,7 @@ def test_reports_ignore_worker_count(tmp_path, capsys):
                          "--jobs", jobs, "--out", str(target))
         assert code == 0
         outs.append(target.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == golden("local-5-9-10-12-place-2")
 
 
 def test_reports_over_3_ignore_worker_count(tmp_path, capsys):
@@ -226,7 +260,7 @@ def test_reports_over_3_ignore_worker_count(tmp_path, capsys):
                          "--jobs", jobs, "--out", str(target))
         assert code == 0
         outs.append(target.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == golden("local-5-9-10-12-place-3")
     place = json.loads(outs[0])["result"]["places"][0]
     assert place["point_classes"] == 3 ** 20 and place["precision"] == 9
 
@@ -239,7 +273,7 @@ def test_scan_reports_ignore_worker_count(tmp_path, capsys):
                          "--out", str(target))
         assert code == 0
         outs.append(target.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == golden("scan-1-2")
 
 
 def test_timing_flag_adds_the_only_nondeterminism(capsys):
@@ -281,7 +315,6 @@ def test_chart_file_validation(tmp_path):
 
 
 def test_shipped_sample_chart_file_matches_builtin():
-    from pathlib import Path
     sample = Path(__file__).parent / "data" / "cassels_guy_charts.json"
     assert load_charts(sample) == cassels_guy_class()
 

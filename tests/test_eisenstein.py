@@ -177,9 +177,7 @@ RAW_RINGS = tuple(
 def _component_moduli(ring):
     if ring.place.kind == "split":
         return (ring.modulus,)
-    if ring.place.kind == "inert":
-        return (ring.modulus, ring.modulus)
-    return (ring.ms, ring.mt)
+    return (ring.ma, ring.mb)
 
 
 @given(st.data())

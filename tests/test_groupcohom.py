@@ -26,7 +26,6 @@ from bmcubic.groupcohom import (
     apply_differential,
     cohomology,
     connecting_homomorphism,
-    cyclic_cohomology,
     cyclic_group,
     group_closure,
     invariants_module,
@@ -237,16 +236,30 @@ def test_regular_c4_degree_three_keeps_columns_small():
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_trivial_torsion_coefficients_over_cyclic_groups(m):
-    # the periodic resolution: H^i(C_m, Z/n) = Z/gcd(m, n) for every i >= 1
-    # when the action is trivial; degree 1 runs the Koszul complex, degrees
-    # 2 and 3 the bar complex
+    # H^0(C_m, Z/n) = Z/n and H^i(C_m, Z/n) = Z/gcd(m, n) for every i >= 1
+    # when the action is trivial; `cohomology` runs the periodic complex in
+    # every degree, and from order 3 on degrees 1-3 also run the bar complex
+    # (kernels modulo torsion) over a redundant generating set
     g = cyclic_group(m)
     for n in range(2, 7):
         module = trivial_module(g, 1, [(n,)])
         d = gcd(m, n)
         want = AbelianGroupStructure(0, (d,) if d > 1 else ())
-        for i in (1, 2, 3):
+        assert cohomology(g, module, 0).structure == AbelianGroupStructure(0, (n,))
+        for i in (1, 2, 3, 4):
             assert cohomology(g, module, i).structure == want, (n, i)
+        if m >= 3:
+            for i in (1, 2, 3):
+                assert bar_cohomology(g, module, i).structure == want, (n, i)
+
+
+def test_c9_trivial_z9_in_degrees_2_to_4():
+    # degree 3 on the bar complex takes tens of seconds; none is built here
+    g = cyclic_group(9)
+    module = trivial_module(g, 1, [(9,)])
+    for i in (2, 3, 4):
+        assert bar_runs(lambda: cohomology(g, module, i)) == []
+        assert str(cohomology(g, module, i).structure) == "Z/9", i
 
 
 def test_h2_of_c3_squared_with_z3_coefficients():
@@ -439,11 +452,13 @@ def test_ses_and_cyclic_rejections_name_the_failed_check():
                     GIntModule(Z2, 1, [(2,)], [triv, neg]),
                     trivial_module(Z2, rank=0), triv, IntMatrix.from_rows([], cols=1))
     assert ses.pull_ab((3,)) is not None
-    with pytest.raises(ValueError, match="tau does not preserve the relations"):
-        cyclic_cohomology(IntMatrix.from_rows([[1, 0], [0, 2]]), 3,
-                          trivial_module(Z3, 2, [(1, -1)]), 1)
-    with pytest.raises(ValueError, match="tau\\^n is not the identity on the quotient"):
-        cyclic_cohomology(A2_ROTATION, 2, trivial_module(Z3, rank=2), 1)
+    # a cyclic module built from a matrix tau checks it at construction
+    tau = IntMatrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="action does not preserve the relations"):
+        GIntModule(Z3, 2, [(1, -1)], action_from_generators(Z3, 2, {1: tau}))
+    with pytest.raises(ValueError, match="action is not multiplicative modulo relations"):
+        # A2_ROTATION has order 3, not 2
+        GIntModule(Z2, 2, [], action_from_generators(Z2, 2, {1: A2_ROTATION}))
 
 
 # -------------------------------------------------------------- invariants
@@ -506,58 +521,55 @@ def test_cyclic_trivial_action():
     for n in (2, 3, 4):
         g = cyclic_group(n)
         m = trivial_module(g)
-        tau = IntMatrix.identity(1)
-        assert cyclic_cohomology(tau, n, m, 1).structure.is_trivial
-        res = cyclic_cohomology(tau, n, m, 2)
+        assert cohomology(g, m, 1).structure.is_trivial
+        res = cohomology(g, m, 2)
         assert res.structure.torsion == (n,)
-        assert res.periodic_vectors
+        (gen,) = res.generators
+        assert is_cocycle(g, m, gen)
 
 
 def test_cyclic_order_mismatch():
-    m = trivial_module(Z3, rank=2)
-    with pytest.raises(ValueError):
-        cyclic_cohomology(A2_ROTATION, 2, m, 1)
+    # tau of order 3 gives an action of C_n exactly when 3 divides n
+    c4, c6 = cyclic_group(4), cyclic_group(6)
+    with pytest.raises(ValueError, match="action is not multiplicative modulo relations"):
+        GIntModule(c4, 2, [], action_from_generators(c4, 2, {1: A2_ROTATION}))
+    m = GIntModule(c6, 2, [], action_from_generators(c6, 2, {1: A2_ROTATION}))
+    for i in (0, 1, 2):
+        assert cohomology(c6, m, i).structure == bar_cohomology(c6, m, i).structure, i
 
 
 def test_cyclic_degree_rejected_first():
-    # the order mismatch above would raise later; the degree goes first, and
-    # a degree past 3 is refused even where H^i is trivial
-    m = trivial_module(Z3, rank=2)
+    # the degree goes first, before the zero-module shortcut
     with pytest.raises(ValueError, match="nonnegative"):
-        cyclic_cohomology(A2_ROTATION, 2, m, -1)
-    with pytest.raises(ValueError, match="degrees 0..3"):
-        cyclic_cohomology(A2_ROTATION, 2, m, 4)
-    with pytest.raises(ValueError, match="degrees 0..3"):
-        cyclic_cohomology(IntMatrix.identity(0), 3, trivial_module(Z3, rank=0), 4)
+        cohomology(Z3, trivial_module(Z3, rank=2), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cohomology(Z3, trivial_module(Z3, rank=0), -1)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_cyclic_matches_bar(i):
-    cases = []
-    g3 = Z3
-    cases.append((A2_ROTATION, 3, GIntModule(g3, 2, [],
-                                             action_from_generators(g3, 2, {1: A2_ROTATION}))))
     perm = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    cases.append((perm, 3, GIntModule(g3, 3, [], action_from_generators(g3, 3, {1: perm}))))
-    cases.append((perm, 3, GIntModule(g3, 3, [(3, 3, 3)],
-                                      action_from_generators(g3, 3, {1: perm}))))
-    cases.append((IntMatrix.identity(1), 3, trivial_module(g3)))
+    perm_action = action_from_generators(Z3, 3, {1: perm})
     neg = IntMatrix.from_rows([[-1]])
-    cases.append((neg, 2, GIntModule(Z2, 1, [], [IntMatrix.identity(1), neg])))
-    for tau, n, m in cases:
-        a = cyclic_cohomology(tau, n, m, i)
-        b = cohomology(m.group, m, i)
-        assert a.structure == b.structure, (tau, n, i)
+    cases = [a2_module(),
+             (Z3, GIntModule(Z3, 3, [], perm_action)),
+             (Z3, GIntModule(Z3, 3, [(3, 3, 3)], perm_action)),
+             (Z3, trivial_module(Z3)),
+             (Z2, GIntModule(Z2, 1, [], [IntMatrix.identity(1), neg]))]
+    for g, m in cases:
+        assert cohomology(g, m, i).structure == bar_cohomology(g, m, i).structure, (g.order, i)
 
 
-@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_cyclic_bar_representatives_are_cocycles(i):
     g, m = a2_module()
-    res = cyclic_cohomology(A2_ROTATION, 3, m, i)
+    res = cohomology(g, m, i)
+    assert res.structure == bar_cohomology(g, m, i).structure
     for gen in res.generators:
         assert is_cocycle(g, m, gen)
-    if i in (1, 3):
-        assert res.structure.torsion == (3,)
+        if i <= 3:
+            assert is_coboundary(g, m, gen) is None
+    assert res.structure.torsion == ((3,) if i % 2 else ())
 
 
 # ------------------------------------------------------------------ Koszul
@@ -582,11 +594,11 @@ KOSZUL_GROUPS = {
 
 
 def bar_forced(g):
-    """The same group with every non-identity element a generator: for order
-    at least 3 a redundant generating set, so `cohomology` runs the bar
-    complex in every degree."""
-    assert g.order >= 3
-    return FiniteGroup(g.order, g.table)
+    """The same group generated by every non-identity element, listed twice:
+    a redundant generating set for every order >= 2, so `cohomology` runs
+    the bar complex in every degree."""
+    assert g.order >= 2
+    return FiniteGroup(g.order, g.table, tuple(range(1, g.order)) * 2)
 
 
 def bar_runs(run):
@@ -601,6 +613,16 @@ def bar_runs(run):
     with patch.object(groupcohom, "_BarComplex", Spy):
         run()
     return seen
+
+
+def bar_cohomology(g, m, i):
+    """H^i of m over `bar_forced(g)`, with the same rank, relations and
+    action, checked to run the bar complex whenever m is nonzero."""
+    gb = bar_forced(g)
+    mb = GIntModule(gb, m.rank, m.relations, m.action)
+    out = []
+    assert bar_runs(lambda: out.append(cohomology(gb, mb, i))) == ([gb] if m.red.n else [])
+    return out[0]
 
 
 def element_order(g, x):
@@ -647,10 +669,8 @@ def test_koszul_h1_matches_bar_on_small_torsion_modules(name, data):
     g = KOSZUL_GROUPS[name]
     rank, relations, action = data.draw(small_torsion_modules(g))
     m = GIntModule(g, rank, relations, action)
-    gb = bar_forced(g)
-    mb = GIntModule(gb, rank, relations, action)
     koszul = cohomology(g, m, 1)
-    assert koszul.structure == cohomology(gb, mb, 1).structure
+    assert koszul.structure == bar_cohomology(g, m, 1).structure
     for gen in koszul.generators:
         assert is_cocycle(g, m, gen)
         assert is_coboundary(g, m, gen) is None
@@ -658,16 +678,19 @@ def test_koszul_h1_matches_bar_on_small_torsion_modules(name, data):
 
 @given(st.sampled_from([Z3, cyclic_group(4)]), st.data())
 @settings(max_examples=100)
-def test_cyclic_matches_forced_bar_in_degrees_0_to_2(g, data):
-    # degree 1 of a cyclic group runs on the Koszul complex; the periodic
-    # complex is compared here with the bar complex itself
+def test_cyclic_matches_forced_bar_in_low_degrees(g, data):
+    # the periodic complex against the bar complex itself: degrees 0-4 over
+    # Z3 and 0-3 over C4; every generator is a cocycle, and in degrees 1-2
+    # none is a coboundary
     rank, relations, action = data.draw(small_torsion_modules(g))
     m = GIntModule(g, rank, relations, action)
-    gb = bar_forced(g)
-    mb = GIntModule(gb, rank, relations, action)
-    for i in (0, 1, 2):
-        periodic = cyclic_cohomology(action[1], g.order, m, i).structure
-        assert periodic == cohomology(gb, mb, i).structure, i
+    for i in range(5 if g.order == 3 else 4):
+        periodic = cohomology(g, m, i)
+        assert periodic.structure == bar_cohomology(g, m, i).structure, i
+        for gen in periodic.generators:
+            assert is_cocycle(g, m, gen), i
+            if i in (1, 2):
+                assert is_coboundary(g, m, gen) is None, i
 
 
 def test_route_is_chosen_from_the_group():
@@ -676,9 +699,13 @@ def test_route_is_chosen_from_the_group():
     cases = [(S3, regular_module(S3), 1, True),
              (z3_redundant, trivial_module(z3_redundant, 1, [(3,)]), 1, True),
              (Z3, trivial_module(Z3, 1, [(3,)]), 1, False),
-             (Z3, trivial_module(Z3, 1, [(3,)]), 2, True),
+             (Z3, trivial_module(Z3, 1, [(3,)]), 2, False),
+             (KOSZUL_GROUPS["C4"], regular_module(KOSZUL_GROUPS["C4"]), 3, False),
+             (S3, regular_module(S3), 2, True),
              (c6, regular_module(c6), 1, False),
-             (KOSZUL_GROUPS["C3xC3"], regular_module(KOSZUL_GROUPS["C3xC3"]), 1, False)]
+             (KOSZUL_GROUPS["C3xC3"], regular_module(KOSZUL_GROUPS["C3xC3"]), 1, False),
+             (KOSZUL_GROUPS["C3xC3"], trivial_module(KOSZUL_GROUPS["C3xC3"], 1, [(3,)]),
+              2, True)]
     for g, m, i, bar in cases:
         assert bar_runs(lambda: cohomology(g, m, i)) == ([g] if bar else []), (g.order, i)
 
