@@ -39,8 +39,9 @@ once: the numerator stage sums raw ring products of reduced factors and
 reduces every numerator value before packing it, and the chart reading
 looks each value up in one table per chart group and stratum, built on
 the first reading, so the residue collector never builds one.  The point
-listing, the solvability test and the scalar reference evaluator keep the
-walk over classes, which is the oracle.
+listing, the solvability test over 3 and the scalar reference evaluator
+keep the walk over classes, which is the oracle; away from 3 solvability
+is a closed-form rule on the coefficients' valuations.
 
 Per-place invariant sets are accepted only when enumeration at precision
 N and N+2 attains the same set on one precision ladder (`_rungs`),
@@ -60,7 +61,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .eisenstein import (EisensteinNumber, InvariantValue, Place,
+from .eisenstein import (EisensteinNumber, InvariantValue, Place, _ord_int,
                          _prime_factors, invariant_table, is_local_cube,
                          localize, places_over, residue_ring, unit_resolution,
                          valuation)
@@ -1061,21 +1062,59 @@ def _cube_free(c: int) -> int:
     return c // m ** 3
 
 
+def _solvable_away_from_3(coeffs: Coeffs, place: Place) -> bool:
+    """Local solvability at a place over p != 3 by the valuation-class rule
+    (Colliot-Thelene, Kanevsky and Sansuc, LNM 1290)."""
+    if place.kind == "inert":
+        # some group has at least two members, and every ratio in F_p is
+        # a cube
+        return True
+    p = place.p
+    groups: dict[int, list[int]] = {}
+    for c in coeffs:
+        v = _ord_int(c, p)
+        groups.setdefault(v % 3, []).append(c // p ** v)
+    if max(map(len, groups.values())) >= 3:
+        return True
+    return any(pow(-a * pow(b, -1, p) % p, (p - 1) // 3, p) == 1
+               for a, b in (g for g in groups.values() if len(g) == 2))
+
+
 def local_solvability(coeffs: Sequence[int], place: Place,
                       precision: Optional[int] = None,
                       cap: Optional[int] = None) -> bool:
     """Whether the surface has points over k_v.
 
-    Each coefficient is first divided by the largest cube dividing it
-    (x_i -> x_i/m is an isomorphism over Q).  A certified class proves yes
-    immediately.  No raw residue classes at all proves no, since classes at
-    higher precision refine lower ones.  Raw classes that never certify on
-    the ladder of `_rungs` raise NoStabilization, which names the first
-    rung the ladder cut.
+    Away from 3 the valuation-class rule decides, with no residue table.
+    Write c_i = p^(v_i) u_i and group the coefficients by v_i mod 3; the
+    groups do not change under c_i -> c_i m^3 or a common factor p, and
+    scaling x_i by powers of p and the equation by p moves any group to
+    valuation 0.
+    - A group of at least three: rescaled to units, they reduce to a
+      smooth diagonal plane cubic over F_q (p != 3), which has at least
+      q + 1 - 2 sqrt(q) > 0 points by Hasse-Weil, and Hensel lifts one.
+    - Otherwise the group sizes are (2, 2) or (2, 1, 1), and the surface
+      is solvable iff some group {a, b} of two has -u_a/u_b a cube in F_q:
+      a root of u_a x^3 + u_b y^3 in units lifts by Hensel.  At an inert
+      p that always holds, since 3 does not divide p - 1 and so every
+      element of F_p is a cube; at a split p it is a cubic-residue test.
+    - When every pair fails, a primitive point has x_a = x_b = 0 mod pi
+      for the pair at valuation 0; dividing out, the next group must
+      vanish mod pi in turn, and so on around the classes until every
+      coordinate is 0 mod pi: there is no point.
+
+    At the place over 3 each coefficient is first divided by the largest
+    cube dividing it (x_i -> x_i/m is an isomorphism over Q), and the
+    residue classes decide.  A certified class proves yes immediately.  No
+    raw residue classes at all proves no, since classes at higher
+    precision refine lower ones.  Raw classes that never certify on the
+    ladder of `_rungs` raise NoStabilization, which names the first rung
+    the ladder cut.  `precision` and `cap` act only there.
     """
-    cs = tuple(_cube_free(c) for c in _validate_coeffs(coeffs))
-    if place not in set(bad_places(cs)):
-        return True
+    cs = _validate_coeffs(coeffs)
+    if place.p != 3:
+        return _solvable_away_from_3(cs, place)
+    cs = tuple(_cube_free(c) for c in cs)
     rungs = _rungs(place, precision, cap)
     for n in rungs:
         raw = False

@@ -116,13 +116,22 @@ class FiniteGroup:
         m = len(reps)
         table = tuple(tuple(coset_of[self.table[reps[i]][reps[j]]] for j in range(m))
                       for i in range(m))
-        gens = []
+        # a generator's coset is kept only outside the span of the earlier
+        # ones, so an elementary abelian quotient keeps an F_3 basis
+        gens: list[int] = []
+        span = {0}
         for g in self.generators:
             c = coset_of[g]
-            if c != 0 and c not in gens:
+            if c not in span:
                 gens.append(c)
-        if not gens and m > 1:
-            gens = list(range(1, m))
+                frontier = list(span)
+                while frontier:
+                    x = frontier.pop()
+                    for s in gens:
+                        y = table[s][x]
+                        if y not in span:
+                            span.add(y)
+                            frontier.append(y)
         q = FiniteGroup(m, table, tuple(gens))
         return q, tuple(coset_of)
 

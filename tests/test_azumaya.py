@@ -8,7 +8,9 @@ large ones, and certified point classes are re-verified with exact
 arithmetic.
 """
 
-from itertools import islice, product
+import sys
+from itertools import islice, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,11 @@ from bmcubic.eisenstein import (
     residue_ring,
     valuation,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bmbench"))
+
+import reference  # noqa: E402
+import workloads  # noqa: E402
 
 CG = (5, 9, 10, 12)
 CLS = cassels_guy_class()
@@ -524,16 +531,16 @@ def test_precision_override_and_escalation_cap():
     assert capped.precision == 3
     assert capped.attained == frozenset({InvariantValue(0)})
     assert capped.solvable
-    with pytest.raises(NoStabilization):
-        local_solvability((1, 2, 7, 14), places_over(7)[0], cap=1)
+    # away from 3 there is no ladder for the cap to cut: the rule answers
+    assert local_solvability((1, 2, 7, 14), places_over(7)[0], cap=1) is False
 
 
 def test_ladder_messages_name_where_the_ladder_stopped():
-    # the cap cuts before the first rung, pi^3 at the place over 7
+    # the cap cuts before the first rung, pi^5 at the place over 3
     with pytest.raises(NoStabilization) as cut:
-        local_solvability((1, 2, 7, 14), places_over(7)[0], cap=1)
+        local_solvability(CG, V3, cap=3)
     assert str(cut.value) == ("uncertified residue classes persist at "
-                              "place(7,split,pi=1 + 3*zeta) below pi^3")
+                              "place(3,ramified,pi=1 + 2*zeta) below pi^5")
     # rungs 5 and 7 leave raw classes uncertified, and pi^9 is above the cap
     with pytest.raises(NoStabilization) as cut:
         local_solvability((1, 3, 3, 3), V3, cap=7)
@@ -543,6 +550,139 @@ def test_ladder_messages_name_where_the_ladder_stopped():
         place_report(CG, CLS, V2, cap=1)
     assert str(cut.value) == ("no complete enumeration at place(2,inert,pi=2) "
                               "within the precision bounds")
+
+
+# ------------------------------------------------------- solvability away from 3
+
+def _first_rung_walk(coeffs, place, budget=8):
+    """Solvability by the class walk at the first rung, as it was decided
+    away from 3 before the valuation-class rule: True at a certified class,
+    False when no raw class exists, None when raw classes stay uncertified
+    through the walk or through `budget` batches of them (a deep surface
+    over 5 can hold tens of thousands of raw batches, minutes of walk)."""
+    cs = tuple(azumaya_module._cube_free(c) for c in coeffs)
+    n = default_precision(place)
+    raw = 0
+    for bt in _batches(_local_model(cs, place, n)):
+        if (2 * bt.w < n).any():
+            return True
+        raw += 1
+        if raw > budget:
+            return None
+    return None if raw else False
+
+
+def scaled_coeffs(p):
+    """Small units times p^0..p^5."""
+    unit = st.integers(min_value=-6, max_value=6).filter(lambda u: u % p)
+    term = st.builds(lambda u, e: u * p ** e, unit,
+                     st.integers(min_value=0, max_value=5))
+    return st.tuples(term, term, term, term)
+
+
+SCALED_PRIMES = (2, 5, 7, 13)
+scaled_tuples = st.sampled_from(SCALED_PRIMES).flatmap(
+    lambda p: scaled_coeffs(p).map(lambda cs: (p, cs)))
+
+
+@pytest.mark.parametrize("p", SCALED_PRIMES)
+@given(data=st.data())
+@settings(max_examples=8, derandomize=True)
+def test_rule_matches_the_class_walk(p, data):
+    # a fixed draw: over 5 one walk costs from milliseconds to seconds
+    coeffs = data.draw(scaled_coeffs(p))
+    for place in places_over(p):
+        walked = _first_rung_walk(coeffs, place)
+        if walked is not None:
+            assert local_solvability(coeffs, place) is walked
+
+
+def _reference_answer(coeffs, p):
+    """The reference's two fast steps on the tuples p^k * coeffs, k = 0, 1,
+    2, with every cube p^3 divided out: True when a smooth root mod pi
+    certifies a point (`certified_point` at depth 1), False when there is
+    no primitive solution mod pi^n for some n (`no_point_depth`), None
+    when neither step decides any of the three.
+
+    Multiplying the equation by p^k and scaling coordinates by powers of p
+    change no point.  `reference.local_solvability` goes on to a lifting
+    search, which takes minutes on some surfaces whose points all lie
+    deep; on one of the three tuples such a point lies shallow.
+    """
+    def without_cubes(c):
+        while c % p ** 3 == 0:
+            c //= p ** 3
+        return c
+
+    for k in range(3):
+        shifted = tuple(without_cubes(c * p ** k) for c in coeffs)
+        if reference.no_point_depth(shifted, p) is not None:
+            return False
+        try:
+            if reference.certified_point(shifted, p, max_depth=1) is not None:
+                return True
+        except RuntimeError:
+            pass  # roots mod pi, none of them smooth
+    return None
+
+
+@given(scaled_tuples)
+@settings(max_examples=40)
+def test_rule_matches_the_reference_search(case):
+    p, coeffs = case
+    want = _reference_answer(coeffs, p)
+    assert want is not None
+    for place in places_over(p):
+        assert local_solvability(coeffs, place) is want
+
+
+@given(scaled_tuples, st.integers(min_value=0, max_value=3),
+       st.sampled_from((-1, 2, 3, 5, 7, 13)))
+@settings(max_examples=200)
+def test_rule_laws(case, i, m):
+    p, coeffs = case
+    places = places_over(p)
+    got = local_solvability(coeffs, places[0])
+    # the two places over a split p are conjugate, and the tuple is rational
+    assert all(local_solvability(coeffs, pl) is got for pl in places)
+    assert all(local_solvability(perm, places[0]) is got
+               for perm in permutations(coeffs))
+    cubed = coeffs[:i] + (coeffs[i] * m ** 3,) + coeffs[i + 1:]
+    assert local_solvability(cubed, places[0]) is got
+
+
+def test_rule_at_a_huge_split_prime_builds_no_table():
+    models, rings = (_local_model.cache_info().misses,
+                     residue_ring.cache_info().misses)
+    for place in places_over(1000003):
+        assert local_solvability((1, 2, 3, 1000003), place) is True
+    assert _local_model.cache_info().misses == models
+    assert residue_ring.cache_info().misses == rings
+
+
+@pytest.mark.parametrize("stratum, coeffs", [
+    ("none", (1, 1, 1, 1)),
+    ("5", (1, 1, 1, 5)),
+    ("7-nls", (1, 2, 7, 14)),
+    ("13-nls", (1, 2, 13, 26)),
+    ("13-deep", (1, 2, 13, 13)),
+])
+def test_verdicts_build_tables_only_over_3(monkeypatch, stratum, coeffs):
+    # one surface per stratum of the benchmark's survey; every local model
+    # and residue ring the verdict asks for lies over 3
+    assert workloads.survey_stratum(coeffs) == stratum
+    asked = []
+
+    def spy(real, at):
+        def call(*args):
+            asked.append(args[at].p)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(azumaya_module, "_local_model", spy(_local_model, 1))
+    monkeypatch.setattr(azumaya_module, "residue_ring", spy(residue_ring, 0))
+    obstruction_verdict(coeffs, ())
+    assert asked and set(asked) == {3}
 
 
 # ---------------------------------------------------------------- verdict layer

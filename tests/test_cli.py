@@ -6,6 +6,10 @@ depend on the worker count, and every exit code has a driver here.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +240,25 @@ def test_missing_charts_exit_3(capsys):
     code, doc = run_doc(capsys, "local", "-c", "2,3,5,7", "--place", "3")
     assert code == 3
     assert doc["result"]["places"][0]["attained"] is None
+
+
+def test_large_inert_prime_answers_within_a_memory_limit():
+    # solvability at the place over 29 is a rule on the coefficients; a
+    # residue table there would have 29^6 entries per array, gigabytes
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmcubic", "obstruct", "-c", "1,1,1,29"],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=limit_address_space)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["result"]["h1"] != "0"
 
 
 # ------------------------------------------------------------------- determinism

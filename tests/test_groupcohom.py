@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmcubic import groupcohom
+from bmcubic.cli import main
 from bmcubic.exactlin import AbelianGroupStructure, ColumnReduction, IntMatrix, LatticeEchelon
 from bmcubic.groupcohom import (
     _BarComplex,
@@ -708,6 +709,26 @@ def test_route_is_chosen_from_the_group():
               2, True)]
     for g, m, i, bar in cases:
         assert bar_runs(lambda: cohomology(g, m, i)) == ([g] if bar else []), (g.order, i)
+
+
+def test_quotient_keeps_independent_generators():
+    # the coset of 2 lies in the span of the coset of 1
+    z3_redundant = FiniteGroup(3, Z3.table, (1, 2))
+    assert z3_redundant.quotient([0])[0].generators == (1,)
+    g = KOSZUL_GROUPS["C3xC3"]
+    a, b = g.generators
+    redundant = FiniteGroup(9, g.table, (a, b, g.mul(a, a)))
+    q, _ = redundant.quotient([0, b, g.mul(b, b)])
+    assert q.order == 3 and len(q.generators) == 1
+
+
+def test_quick_verification_builds_no_bar_complex(tmp_path):
+    # inflation-route's order-3 quotient gets one generator and so runs on
+    # its periodic complex
+    codes = []
+    assert bar_runs(lambda: codes.append(main(
+        ["verify-paper", "--quick", "--out", str(tmp_path / "quick.json")]))) == []
+    assert codes == [0]
 
 
 def test_koszul_generators_of_z3_plus_z3_are_independent():
