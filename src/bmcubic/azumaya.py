@@ -45,14 +45,17 @@ is a closed-form rule on the coefficients' valuations.
 
 Per-place invariant sets are accepted only when enumeration at precision
 N and N+2 attains the same set on one precision ladder (`_rungs`),
-replacing effective precision bounds with a stability contract.  The final
-verdict compares the Minkowski sum of the per-place sets against 0.
+replacing effective precision bounds with a stability contract.  A rung
+reads again only the balls the rung below left open (`place_report`):
+the evaluation is locally constant, so a ball whose chart readings are
+settled keeps them on all its children.  The final verdict compares the
+Minkowski sum of the per-place sets against 0.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -416,9 +419,25 @@ class _Batch:
         return self.dval.argmin(axis=0)
 
 
+@dataclass(frozen=True)
+class _Parents:
+    """The open balls of one stratum at a rung, as a filter on their
+    children at the next rung up.
+
+    `radius` is the parents' radius N - w.  keys[i0] maps the id of a
+    parent's first free value to the sorted keys b * size + s of its other
+    two coordinates; every id is in the child's ring, of a value reduced
+    mod pi^radius, and size is that ring's size.
+    """
+
+    radius: int
+    keys: dict
+
+
 def _batches(model: _LocalModel,
              partition: Optional[tuple[int, int]] = None,
-             stratum: Optional[int] = None) -> Iterator[_Batch]:
+             stratum: Optional[int] = None,
+             parents: Optional[_Parents] = None) -> Iterator[_Batch]:
     """Every residue class mod pi^N with F = 0 mod pi^N and first unit
     coordinate 1, or with a stratum w every ball of certificate w, in
     nonempty batches of one (i0, a) and a run of b, in a fixed order.
@@ -433,16 +452,28 @@ def _batches(model: _LocalModel,
     (k, n) keeps the classes whose key (`_LocalModel.class_keys`) is k mod
     n; for a ball that key is the id of its free value a, so a slice of
     balls is exactly the lifts of the same slice of classes.
+
+    `parents` keeps only the balls of the stratum whose reduction mod
+    pi^radius is one of its keys: it filters a, then b before the root
+    fibers expand, then the solved coordinate.  The batches are the
+    unfiltered walk's, each cut down to its kept balls, so the walk order
+    and every batch boundary stay those of the full walk.
     """
     ring = model.ring
     pools, roots = model.stratum(stratum)
     keys = None
     if partition is not None and stratum is None:
         keys = model.class_keys() % partition[1] == partition[0]
+    red = None if parents is None else model.reduced(parents.radius)
     for i0 in range(4):
         dv_one = int(model.dval[i0][model.one])
         if stratum is not None and dv_one < stratum:
             continue
+        by_a = None
+        if parents is not None:
+            by_a = parents.keys.get(i0)
+            if not by_a:
+                continue
         sj = max(j for j in range(4) if j != i0)
         fa, fb = (j for j in range(4) if j not in (i0, sj))
         a_pool = pools[fa][int(fa < i0)]
@@ -451,6 +482,10 @@ def _batches(model: _LocalModel,
             a_pool = a_pool[keys[:, a_pool].any(axis=0)]
         elif partition is not None:
             a_pool = a_pool[a_pool % partition[1] == partition[0]]
+        if by_a is not None:
+            a_pool = a_pool[np.isin(red[a_pool], list(by_a))]
+            b_red = red[b_pool]
+            b_open: dict = {}
         base = ring.unpack(model.term[i0][model.one])
         neg_tb = ring.neg(ring.unpack(model.term[fb][b_pool]))
         rcnt, roff, rflat = roots[sj]
@@ -467,10 +502,20 @@ def _batches(model: _LocalModel,
             nz = np.nonzero(cnt)[0]
             if not len(nz):
                 continue
+            if by_a is not None:
+                allowed = by_a[int(red[a])]
+                b_ok = b_open.get(int(red[a]))
+                if b_ok is None:
+                    b_ok = b_open[int(red[a])] = np.isin(
+                        b_red, allowed // ring.size)
             # a run of b values whose root fibers end in one block of
             # _BATCH_CLASSES classes makes one batch, which bounds memory
             runs = np.flatnonzero(np.diff(np.cumsum(cnt[nz]) // _BATCH_CLASSES))
             for bs in np.split(nz, runs + 1):
+                if by_a is not None:
+                    bs = bs[b_ok[bs]]
+                    if not len(bs):
+                        continue
                 # expand the root fibers over the run in one step
                 lens = cnt[bs]
                 stops = np.cumsum(lens)
@@ -480,6 +525,12 @@ def _batches(model: _LocalModel,
                 pmap = np.repeat(bs, lens)
                 if sj < i0:
                     keep = model.val[sols] > 0
+                    pmap, sols = pmap[keep], sols[keep]
+                if by_a is not None:
+                    key = b_red[pmap] * ring.size + red[sols]
+                    at = np.minimum(np.searchsorted(allowed, key),
+                                    len(allowed) - 1)
+                    keep = allowed[at] == key
                     pmap, sols = pmap[keep], sols[keep]
                 dv = np.empty((4, len(pmap)), dtype=np.int64)
                 dv[i0] = dv_one
@@ -705,6 +756,27 @@ class _VecEngine:
     and those are what `run` counts.  When theta is a cube at the place no
     chart is read and every invariant is 0, but the walk and the numerator
     stage work for every class.
+
+    A rung N + 2 reuses a complete rung N that walked all its strata
+    (`rung`, `_Frontier`).  In a stratum w with 2w + 2 <= N, each ball of
+    rung N is either settled or open.  A value on the ball is known mod
+    pi^(N - w), so its valuation is exact below N - w.  A chart group is
+    settled when it is read at N (so on every child it has the same
+    valuation and unit mod pi^m_v, and is read with the same bit), or
+    when its numerator or every one of its denominators has valuation
+    above N + 2 - w - m_v on every child, so that it is read on none.  A
+    ball is settled when every group is: its children have exactly its
+    evaluable groups and bits, hence no disagreement and the same bits.
+    Rung N + 2 evaluates in that stratum only the children of open balls,
+    takes the settled balls' bits from rung N and counts q^4 children per
+    ball.  That count is exact: a child of a ball x mod pi^(N - w) is x +
+    pi^(N - w) d, d mod pi^2 in the three free coordinates, and for N >=
+    2w + 2 the expansion of F leaves F(x)/pi^N + (grad F(x)/pi^w) . d = 0
+    mod pi^2.  By Euler's relation sum x_i dF/dx_i = 3F, with x_i0 = 1 and
+    v(3F) > w, some free partial has valuation exactly w, so that is one
+    linear equation with a unit coefficient: q^4 solutions.  The children
+    keep the partial valuations of the ball, so they are exactly the
+    stratum-w balls of rung N + 2 over it.
     """
 
     SIZE_CAP = 6_000_000
@@ -806,38 +878,67 @@ class _VecEngine:
         bpow = (None,) + tuple(
             self.ring.take(self.elems, self.model.power(b_pool, e))
             for e in (1, 2, 3))
-        # denominator data over the free block, in chart rank
-        vdb = 3 * self.model.val[b_pool]
-        return (w, roles), b_pool, nsplit, bpow, vdb
+        # the valuations of the free block's values, read by the denominators
+        return (w, roles), b_pool, nsplit, bpow, self.model.val[b_pool]
 
-    def walk(self, part: int, nparts: int):
+    def walk(self, part: int, nparts: int, parents: Optional[dict] = None):
         """(w, branch, batch) for every batch of balls in slice `part` of
         `nparts`, stratum by stratum; the branch is rebuilt only when the
-        stratum or the roles change."""
+        stratum or the roles change.  `parents` maps a stratum to the
+        `_Parents` whose children alone are walked there."""
         branch = None
         for w in self.model.strata:
-            for bt in _batches(self.model, (part, nparts), w):
+            filt = None if parents is None else parents.get(w)
+            for bt in _batches(self.model, (part, nparts), w, filt):
                 if branch is None or branch[0] != (w, bt.roles):
                     branch = self._branch(w, bt.roles, bt.b_pool)
                 yield w, branch, bt
 
-    def run(self, part: int, nparts: int):
-        """(attained invariants, point classes, complete) on one slice.
+    def rung(self, part: int, nparts: int, parents: Optional[dict] = None,
+             record: bool = False):
+        """(invariant bits, point classes, complete, frontier) on one slice.
 
         The walk stops at the first batch with a ball where no chart is
-        evaluable; the result is then (None, classes so far, False).
+        evaluable; the result is then (None, classes so far, False, None).
+        In a stratum that `parents` names only the open balls' children
+        are evaluated, and none is counted: the caller counts them by the
+        q^4 law.  With `record` the rung returns its `_Frontier` slice,
+        unless theta is a cube at the place and no chart is read.
         """
+        n = self.precision
         bits = 0
         count = 0
-        for w, branch, bt in self.walk(part, nparts):
-            count += len(bt.pmap) * self.model.q ** (3 * w)
+        frontier = None
+        if record and not self.split:
+            frontier = _Frontier(n, {w: 0 for w in self.model.strata
+                                     if 2 * w + 2 <= n})
+        for w, branch, bt in self.walk(part, nparts, parents):
+            if parents is None or w not in parents:
+                count += len(bt.pmap) * self.model.q ** (3 * w)
             if self.split:
                 bits |= 1
                 continue
-            got = self._eval_batch(branch, bt.a, bt.pmap, bt.sol)
+            track = frontier is not None and w in frontier.balls
+            got = self._eval_batch(branch, bt.a, bt.pmap, bt.sol, track)
             if got is None:
-                return None, count, False
-            bits |= got
+                return None, count, False, None
+            acc, open_ = got
+            bits |= int(np.bitwise_or.reduce(acc))
+            if track:
+                frontier.balls[w] += len(acc)
+                frontier.settled |= int(np.bitwise_or.reduce(acc[~open_]))
+                if open_.any():
+                    frontier.open.setdefault(w, []).append(
+                        (bt.roles[0], bt.a, bt.b_pool[bt.pmap[open_]],
+                         bt.sol[open_]))
+        return bits, count, True, frontier
+
+    def run(self, part: int, nparts: int):
+        """(attained invariants, point classes, complete) on one slice,
+        every stratum walked in full."""
+        bits, count, complete, _ = self.rung(part, nparts)
+        if not complete:
+            return None, count, False
         return tuple(j for j in range(3) if bits >> j & 1), count, True
 
     def numerators(self, branch, a_id, pmap, sols):
@@ -874,34 +975,46 @@ class _VecEngine:
                 acc = ring.add_raw(acc, coef)
             yield np.broadcast_to(ring.pack(ring.reduce(acc)), size)
 
-    def _eval_batch(self, branch, a_id, pmap, sols) -> Optional[int]:
-        """Invariant bits attained on one batch of balls, or None when some
-        ball of it has no evaluable chart."""
+    def _eval_batch(self, branch, a_id, pmap, sols, track: bool = False):
+        """(invariant bits per ball, open balls or None) on one batch of
+        balls, or None when some ball of it has no evaluable chart.  With
+        `track`, a ball is open when some chart group is neither read
+        here nor ruled out at rung N + 2 (see the class docstring)."""
         ring = self.ring
         model = self.model
-        (w, (i0, fa, fb, sj)), b_pool, _, _, vdb = branch
-        limit = self.precision - self.m_v - w
+        (w, (i0, fa, fb, sj)), b_pool, _, _, vb = branch
+        n = self.precision
+        limit = n - self.m_v - w
         cgroups, tables = self.reading()
         nids = list(self.numerators(branch, a_id, pmap, sols))
         acc_bits = np.zeros(len(pmap), dtype=np.uint8)
-        vds = None
+        open_ = np.zeros(len(pmap), dtype=bool) if track else None
+        # the valuation of each coordinate, x_i0 = 1 a unit, read once
+        vals = {i0: 0, fa: int(model.val[a_id])}
+
+        def val(d):
+            if d not in vals:
+                vals[d] = vb[pmap] if d == fb else model.val[sols]
+            return vals[d]
+
         for (ni, dens), table in zip(cgroups, tables[w]):
             bits = table[nids[ni]]
-            # x_i0 = 1 has valuation 0, so a group that may certify through
-            # it is evaluable exactly where its numerator is
+            # a group that may certify through x_i0 is evaluable exactly
+            # where its numerator is
             if i0 not in dens:
                 okd = False
                 for d in dens:
-                    if d == fa:
-                        okd = okd | (3 * int(model.val[a_id]) <= limit)
-                    elif d == fb:
-                        okd = okd | (vdb[pmap] <= limit)
-                    else:
-                        if vds is None:
-                            vds = model.val[model.cube[sols]]
-                        okd = okd | (vds <= limit)
+                    okd = okd | (3 * val(d) <= limit)
                 bits = bits * okd
             acc_bits |= bits
+            if track:
+                # a valuation is exact below n - w, at least n - w otherwise
+                ruled = np.minimum(model.val[nids[ni]], n - w) > limit + 2
+                dens_ruled = True
+                for d in dens:
+                    dens_ruled = dens_ruled & (
+                        3 * np.minimum(val(d), n - w) > limit + 2)
+                open_ |= ~((bits != 0) | ruled | dens_ruled)
         bad = acc_bits & (acc_bits - 1) != 0
         if bad.any():
             i = int(bad.argmax())
@@ -913,7 +1026,7 @@ class _VecEngine:
                 f"charts disagree at {tuple(coords)} ({self.place})")
         if not acc_bits.all():
             return None
-        return int(np.bitwise_or.reduce(acc_bits))
+        return acc_bits, open_
 
 
 @lru_cache(maxsize=8)
@@ -922,32 +1035,89 @@ def _vec_engine(coeffs: Coeffs, cls: AzumayaClass, place: Place,
     return _VecEngine(coeffs, cls, place, precision)
 
 
+@dataclass
+class _Frontier:
+    """What a complete rung N that walked all its strata hands rung N + 2.
+
+    For each stratum w with 2w + 2 <= N: balls[w], its ball count, and
+    open[w], its open balls as (i0, a, b ids, s ids) in rung N's ring.
+    `settled` holds the invariant bits of all the settled balls.
+    """
+
+    precision: int
+    balls: dict
+    settled: int = 0
+    open: dict = field(default_factory=dict)
+
+    def merge(self, other: "_Frontier") -> None:
+        for w, k in other.balls.items():
+            self.balls[w] += k
+        self.settled |= other.settled
+        for w, rows in other.open.items():
+            self.open.setdefault(w, []).extend(rows)
+
+    def parents(self, ring) -> dict:
+        """stratum -> `_Parents` of its open balls, in the next rung's
+        ring; a stratum with no open ball gets an empty filter."""
+        old = residue_ring(ring.place, self.precision)
+
+        def ids(e):
+            return ring.pack(old.unpack(e))
+
+        out = {}
+        for w in self.balls:
+            keys: dict = {}
+            for i0, a, bs, ss in self.open.get(w, ()):
+                keys.setdefault(i0, {}).setdefault(int(ids(a)), []).append(
+                    ids(bs) * ring.size + ids(ss))
+            out[w] = _Parents(self.precision - w, {
+                i0: {a: np.unique(np.concatenate(ks)) for a, ks in by_a.items()}
+                for i0, by_a in keys.items()})
+        return out
+
+
 def _attained_worker(payload):
-    coeffs, cls, place, precision, part, nparts = payload
-    return _vec_engine(coeffs, cls, place, precision).run(part, nparts)
+    coeffs, cls, place, precision, part, nparts, parents, record = payload
+    return _vec_engine(coeffs, cls, place, precision).rung(
+        part, nparts, parents, record)
 
 
 def _attained(coeffs: Coeffs, cls: AzumayaClass, place: Place, precision: int,
-              jobs: int) -> tuple[Optional[frozenset], int, bool]:
+              jobs: int, below: Optional[_Frontier] = None,
+              record: bool = False
+              ) -> tuple[Optional[frozenset], int, bool, Optional[_Frontier]]:
+    """(attained, classes, complete, frontier) of one rung.  `below` is the
+    frontier rung precision - 2 handed on; with `record` a complete rung
+    hands on its own, merged over the workers' slices."""
     # build the engine and its reading tables before forking, so that
     # workers inherit them
     eng = _vec_engine(coeffs, cls, place, precision)
     if not eng.split:
         eng.reading()
-    payloads = [(coeffs, cls, place, precision, k, max(jobs, 1))
-                for k in range(max(jobs, 1))]
+    parents = None if below is None else below.parents(eng.ring)
+    nparts = max(jobs, 1)
+    payloads = [(coeffs, cls, place, precision, k, nparts, parents, record)
+                for k in range(nparts)]
     if jobs <= 1:
         results = [_attained_worker(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_attained_worker, payloads))
     total = sum(r[1] for r in results)
+    bits = 0
+    if below is not None:
+        q = eng.model.q
+        total += sum(k * q ** (4 + 3 * w) for w, k in below.balls.items())
+        bits = below.settled
     if any(not r[2] for r in results):
-        return None, total, False
-    js: set[int] = set()
+        return None, total, False, None
     for r in results:
-        js.update(r[0])
-    return frozenset(js), total, True
+        bits |= r[0]
+    frontier = results[0][3]
+    if frontier is not None:
+        for r in results[1:]:
+            frontier.merge(r[3])
+    return frozenset(j for j in range(3) if bits >> j & 1), total, True, frontier
 
 
 def first_chart_residues(coeffs: Sequence[int], cls: AzumayaClass,
@@ -1027,6 +1197,16 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
     reads the last rung if that one was complete.  `precision` overrides
     the starting N; `cap` bounds escalation, cutting the ladder before the
     first rung above it.
+
+    A complete rung N that walked all its strata, with a rung above it,
+    hands rung N + 2 its frontier: in each stratum w with 2w + 2 <= N, the
+    balls where some chart group is neither evaluable at N nor ruled out
+    at N + 2 by an exact valuation.  Rung N + 2 walks in full only the
+    strata with 2w + 2 > N.  In the older ones it evaluates only the
+    children of frontier balls; the settled balls keep their bits from
+    rung N, and each stratum-w ball of rung N has exactly q^4 children
+    (Euler's relation and Hensel, see `_VecEngine`).  A rung that reused
+    its rung below hands nothing on, so the one above it walks in full.
     """
     cs = _validate_coeffs(coeffs)
     if place not in set(bad_places(cs, cls)):
@@ -1037,8 +1217,11 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
         return PlaceReport(place, solvable, att, 0, 0)
     # (rung, attained, classes) of the last rung walked, if it was complete
     prev: Optional[tuple] = None
-    for n in _rungs(place, precision, cap):
-        att, count, complete = _attained(cs, cls, place, n, jobs)
+    below: Optional[_Frontier] = None
+    rungs = _rungs(place, precision, cap)
+    for n in rungs:
+        att, count, complete, below = _attained(
+            cs, cls, place, n, jobs, below, below is None and n + 2 in rungs)
         if complete and prev is not None and prev[1] == att:
             return PlaceReport(place, count > 0,
                                frozenset(InvariantValue(j) for j in att),

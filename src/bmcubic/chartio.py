@@ -4,7 +4,9 @@ A chart file carries everything the local-invariant engine needs for one
 Brauer class: the splitting scalar theta and, per chart, the cubic
 numerator, the cubed coordinate and the constant factor.  Eisenstein
 numbers x + y*zeta are stored as two-element arrays of rational strings
-["x", "y"].  See docs/chart_format.md for the full format.
+["x", "y"], and indices and exponents as JSON integers; the loader takes
+no other JSON type in their place.  See docs/chart_format.md for the
+full format.
 
 The class for (5, 9, 10, 12) is built in; every other surface with
 nontrivial H^1 needs a user-supplied file.
@@ -37,13 +39,23 @@ def eisenstein_to_pair(e: EisensteinNumber) -> list[str]:
     return [str(Fraction(e.x)), str(Fraction(e.y))]
 
 
-def eisenstein_from_pair(pair) -> EisensteinNumber:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected an [x, y] rational pair, got {pair!r}")
+def eisenstein_from_pair(pair, field: str = "value") -> EisensteinNumber:
+    """x + y*zeta from ["x", "y"]; `field` names the value in errors."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or not all(isinstance(x, str) for x in pair)):
+        raise ValueError(
+            f"{field}: expected a pair of rational strings, got {pair!r}")
     try:
-        return EisensteinNumber(Fraction(str(pair[0])), Fraction(str(pair[1])))
+        return EisensteinNumber(Fraction(pair[0]), Fraction(pair[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational pair {pair!r}: {exc}") from None
+        raise ValueError(f"{field}: bad rational pair {pair!r}: {exc}") from None
+
+
+def _json_int(value, field: str, lo: int, hi: int) -> int:
+    # bool is an int subclass in Python, but true is not an integer in JSON
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(f"{field}: expected an integer {lo}-{hi}, got {value!r}")
+    return value
 
 
 def chart_payload(cls: AzumayaClass) -> dict:
@@ -75,7 +87,7 @@ def class_from_payload(doc: dict) -> AzumayaClass:
         raise ValueError(f"not a chart file (format={doc.get('format')!r})")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported chart format version {doc.get('version')!r}")
-    theta = eisenstein_from_pair(doc.get("theta"))
+    theta = eisenstein_from_pair(doc.get("theta"), "theta")
     raw_charts = doc.get("charts")
     if not isinstance(raw_charts, list) or not raw_charts:
         raise ValueError("chart file lists no charts")
@@ -83,12 +95,15 @@ def class_from_payload(doc: dict) -> AzumayaClass:
     for i, raw in enumerate(raw_charts):
         try:
             numerator = tuple(sorted(
-                (tuple(int(x) for x in term["monomial"]),
-                 eisenstein_from_pair(term["coefficient"]))
-                for term in raw["numerator"]))
+                (tuple(_json_int(x, f"numerator term {k} monomial", 0, 3)
+                       for x in term["monomial"]),
+                 eisenstein_from_pair(term["coefficient"],
+                                      f"numerator term {k} coefficient"))
+                for k, term in enumerate(raw["numerator"])))
             charts.append(AzumayaChart(
-                theta, numerator, int(raw["denominator"]),
-                eisenstein_from_pair(raw["constant"])))
+                theta, numerator,
+                _json_int(raw["denominator"], "denominator", 0, 3),
+                eisenstein_from_pair(raw["constant"], "constant")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"chart {i}: {exc}") from None
     order = doc.get("order", 3)

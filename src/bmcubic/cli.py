@@ -12,7 +12,11 @@ degrees.  ``--timing`` adds wall-clock measurements and is therefore
 explicitly non-deterministic.
 
 Exit codes: 0 success, 1 invalid input or failed verification, 2
-inconclusive (precision ladder gave up), 3 missing chart data.
+inconclusive (precision ladder gave up), 3 missing chart data.  A chart
+file given with ``--charts`` is input: ChartDisagreement or
+NoEvaluableChart from its class exits 1 with one line naming the place
+and the point.  From the built-in class either is a bug, and the error
+propagates.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from itertools import product
 
 from . import __version__
 from .azumaya import (
+    ChartDisagreement,
     ChartsUnavailable,
+    NoEvaluableChart,
     NoStabilization,
     Verdict,
     local_solvability,
@@ -482,6 +488,11 @@ def main(argv=None) -> int:
     except ChartsUnavailable as exc:
         print(f"bm: missing chart data: {exc}", file=sys.stderr)
         return 3
+    except (ChartDisagreement, NoEvaluableChart) as exc:
+        if getattr(args, "charts", None) is None:
+            raise
+        print(f"bm: error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"bm: error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,7 @@ from bmcubic.azumaya import (
     NoEvaluableChart,
     NoStabilization,
     Verdict,
+    _attained,
     _attained_reference,
     _batches,
     _local_model,
@@ -343,6 +344,160 @@ def test_balls_per_stratum_match_the_class_walk(coeffs, place, n, by_w, balls):
                                             one),))
     assert _vec_engine(coeffs, split, place, n).run(0, 1) \
         == ((0,), sum(by_w.values()), True)
+
+
+def _balls(coeffs, place, n, w):
+    return sum(len(bt.pmap)
+               for bt in _batches(_local_model(coeffs, place, n), None, w))
+
+
+@pytest.mark.parametrize("coeffs, place, n, w", [
+    (CG, V2, 2, 0), (CG, V2, 3, 0), ((1, 1, 7, 7), V7, 2, 0),
+    ((1, 4, 2, 2), V2, 4, 1), ((1, 1, 2, 6), V2, 4, 1),
+    ((1, 2, 3, 4), V3, 6, 2), (CG, V3, 6, 2), ((1, 1, 1, 3), V3, 6, 2),
+])
+def test_each_ball_has_q4_children_two_digits_up(coeffs, place, n, w):
+    # for N >= 2w + 2 a stratum-w ball mod pi^(N - w) lifts to exactly q^4
+    # stratum-w balls of precision N + 2: the reused rungs count by this
+    assert n >= 2 * w + 2
+    below = _balls(coeffs, place, n, w)
+    assert below > 0
+    assert _balls(coeffs, place, n + 2, w) == place.q ** 4 * below
+
+
+def _ladder_rungs(monkeypatch, coeffs, cls, place, **kw):
+    """place_report's rungs, each (precision, attained, classes, complete)
+    as the ladder computed it, frontier reuse included."""
+    rungs = []
+
+    def spy(*args):
+        got = _attained(*args)
+        rungs.append((args[3],) + got[:3])
+        return got
+
+    monkeypatch.setattr(azumaya_module, "_attained", spy)
+    try:
+        place_report(coeffs, cls, place, **kw)
+    except NoStabilization:
+        pass
+    return rungs
+
+
+def _seven_chart_class():
+    # one chart 7y/x with theta = 7: invariants 0, 1 and 2 over 7, all
+    # from balls that rung 2 settles
+    seven = EisensteinNumber(7)
+    chart = AzumayaChart(seven, (((2, 1, 0, 0), seven),), 0,
+                         EisensteinNumber(1))
+    return AzumayaClass(seven, (chart,))
+
+
+def _constant_class():
+    # the constant zeta as x_d^3 / x_d^3, d = 0..3: invariant 1/3 at
+    # every point, read through x_d only where x_d is a unit mod pi^3
+    zeta = EisensteinNumber(0, 1)
+    return AzumayaClass(THETA_CG, tuple(
+        AzumayaChart(THETA_CG, ((tuple(3 * (i == d) for i in range(4)),
+                                 EisensteinNumber(1)),), d, zeta)
+        for d in range(4)))
+
+
+ONE_DENOMINATOR = [AzumayaClass(
+    THETA_CG, tuple(c for c in CLS.charts if c.denominator == d))
+    for d in range(4)]
+COMPLETE_LADDER = [(3, True), (5, True)]
+
+
+@pytest.mark.parametrize("coeffs, cls, place, kw, ladder", [
+    (CG, CLS, V2, {}, COMPLETE_LADDER),
+    (CG, CLS, V3, {}, [(5, False), (7, True), (9, True)]),
+    (CG, ONE_DENOMINATOR[0], V2, {"cap": 5}, COMPLETE_LADDER),
+    (CG, ONE_DENOMINATOR[1], V2, {"cap": 5}, COMPLETE_LADDER),
+    (CG, ONE_DENOMINATOR[2], V2, {"cap": 5}, [(3, False), (5, False)]),
+    (CG, ONE_DENOMINATOR[3], V2, {"cap": 5}, [(3, False), (5, False)]),
+    ((1, 1, 2, 2), _constant_class(), V2, {}, COMPLETE_LADDER),
+] + [((1, 1, 2, 7), _seven_chart_class(), place,
+      {"precision": 2, "cap": 4}, [(2, True), (4, True)])
+     for place in places_over(7)])
+def test_ladder_rungs_match_the_full_walk(monkeypatch, coeffs, cls, place, kw,
+                                          ladder):
+    # every rung of the ladder, reusing the frontier of a complete rung
+    # below or walked in full after an incomplete one, returns what the
+    # full walk returns at its precision
+    rungs = _ladder_rungs(monkeypatch, coeffs, cls, place, **kw)
+    assert [(r[0], r[3]) for r in rungs] == ladder
+    for n, att, count, complete in rungs:
+        full = _vec_engine(coeffs, cls, place, n).run(0, 1)
+        assert complete == full[2]
+        if complete:
+            assert (tuple(sorted(att)), count) == full[:2]
+
+
+def test_disagreement_among_open_children_is_found():
+    # a chart group 8f/t^3 with constant zeta: 8 is a cube, so it reads
+    # the class shifted by the invariant of zeta, and it is readable at no
+    # ball of rung 3 (v(8f) >= 3).  Rung 3 completes and leaves open the
+    # 11,712 balls where t is not divisible by pi^2; the ladder's rung 5
+    # evaluates their children and meets the full walk's first
+    # disagreement
+    eight_f = {m: c * EisensteinNumber(8) for m, c in F_TERMS.items()}
+    shifted = AzumayaChart(THETA_CG, tuple(sorted(eight_f.items())), 3,
+                           EisensteinNumber(0, 1))
+    cls = AzumayaClass(THETA_CG, CLS.charts + (shifted,))
+    att, count, complete, frontier = _attained(CG, cls, V2, 3, 1, None, True)
+    assert (att, count, complete) == (frozenset({0}), 12288, True)
+    assert sum(len(row[2]) for row in frontier.open[0]) == 11712
+    with pytest.raises(ChartDisagreement) as full:
+        _vec_engine(CG, cls, V2, 5).run(0, 1)
+    with pytest.raises(ChartDisagreement) as ladder:
+        place_report(CG, cls, V2)
+    assert str(ladder.value) == str(full.value) == (
+        "charts disagree at ((1, 0), (0, 1), (0, 3), (0, 3)) "
+        "(place(2,inert,pi=2))")
+
+
+def _evaluated(monkeypatch, place, coeffs=CG, cls=CLS):
+    """Balls the chart reading evaluated in one place_report, by rung and
+    stratum."""
+    seen = {}
+    real = azumaya_module._VecEngine._eval_batch
+
+    def spy(self, branch, a_id, pmap, sols, *args):
+        key = (self.precision, branch[0][0])
+        seen[key] = seen.get(key, 0) + len(pmap)
+        return real(self, branch, a_id, pmap, sols, *args)
+
+    monkeypatch.setattr(azumaya_module._VecEngine, "_eval_batch", spy)
+    place_report(coeffs, cls, place)
+    return seen
+
+
+def test_rungs_evaluate_only_the_children_of_open_balls(monkeypatch):
+    # over 2, rung 3 leaves 3,072 of its 12,288 balls open, and rung 5
+    # evaluates their 3,072 * 4^4 children instead of 3,145,728 balls
+    assert _evaluated(monkeypatch, V2) == {(3, 0): 12288, (5, 0): 786432}
+    # over 3 rung 7 settles all 59,049 balls, so rung 9 evaluates no
+    # stratum-2 ball
+    over_3 = _evaluated(monkeypatch, V3)
+    assert over_3[(7, 2)] == 59049
+    assert (9, 2) not in over_3
+    # the constant class leaves 4,176 balls of stratum 0 open at rung 3;
+    # stratum 1 has 2w + 2 > 3, so rung 5 walks it in full
+    assert _evaluated(monkeypatch, V2, (1, 1, 2, 2), _constant_class()) == {
+        (3, 0): 12288, (3, 1): 48, (5, 0): 4176 * 4 ** 4, (5, 1): 12288}
+    # only a rung with a rung above it records a frontier
+    frontiers = []
+    real = azumaya_module._VecEngine.rung
+
+    def spy(self, *args):
+        got = real(self, *args)
+        frontiers.append((self.precision, got[3]))
+        return got
+
+    monkeypatch.setattr(azumaya_module._VecEngine, "rung", spy)
+    place_report(CG, CLS, V2)
+    assert [(n, f is not None) for n, f in frontiers] == [(3, True), (5, False)]
+    assert sum(len(row[2]) for row in frontiers[0][1].open[0]) == 3072
 
 
 def test_mismatched_surface_charts_abort():

@@ -14,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from bmcubic.azumaya import cassels_guy_class
+import bmcubic.cli as cli_module
+from bmcubic.azumaya import (
+    ChartDisagreement,
+    NoEvaluableChart,
+    cassels_guy_class,
+)
 from bmcubic.chartio import (
     chart_payload,
     class_for,
@@ -350,3 +355,70 @@ def test_cli_accepts_a_chart_file(tmp_path, capsys):
     assert code == 0
     assert doc["result"]["charts"] == "file"
     assert doc["result"]["places"][0]["attained"] == ["0"]
+
+
+def _mutated_charts(tmp_path, mutate):
+    payload = chart_payload(cassels_guy_class())
+    mutate(payload)
+    path = tmp_path / "charts.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_disagreeing_chart_file_exits_1_with_one_line(tmp_path, capsys):
+    # with theta = 7 the flagship's numerators represent no class; the
+    # first disagreeing ball of the walk over 3 names the point
+    path = _mutated_charts(
+        tmp_path, lambda doc: doc.__setitem__("theta", ["7", "0"]))
+    assert run(capsys, "obstruct", "-c", "5,9,10,12", "--charts", path) == (
+        1, "", "bm: error: charts disagree at ((1, 0), (0, 0), (1, 0), (1, 1)) "
+               "(place(3,ramified,pi=1 + 2*zeta))\n")
+
+
+@pytest.mark.parametrize("error", [ChartDisagreement, NoEvaluableChart])
+def test_chart_errors_are_input_errors_only_from_chart_files(
+        tmp_path, capsys, monkeypatch, error):
+    message = "point ((1, 0), (0, 0), (0, 0), (2, 0)) at place(2,inert,pi=2)"
+
+    def fail(*args, **kwargs):
+        raise error(message)
+
+    monkeypatch.setattr(cli_module, "obstruction_verdict", fail)
+    path = tmp_path / "charts.json"
+    dump_charts(cassels_guy_class(), path)
+    assert run(capsys, "obstruct", "-c", "5,9,10,12", "--charts", str(path)) \
+        == (1, "", f"bm: error: {message}\n")
+    # the built-in class failing so is a bug, not an input error
+    with pytest.raises(error):
+        main(["obstruct", "-c", "5,9,10,12"])
+
+
+def _set_chart_field(chart, field, value):
+    def mutate(doc):
+        doc["charts"][chart][field] = value
+    return mutate
+
+
+def _set_numerator_field(field, value):
+    def mutate(doc):
+        doc["charts"][2]["numerator"][0][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_chart_field(0, "denominator", "0"),
+     "chart 0: denominator: expected an integer 0-3, got '0'"),
+    (_set_chart_field(0, "denominator", True),
+     "chart 0: denominator: expected an integer 0-3, got True"),
+    (_set_chart_field(1, "constant", [1.5, "0"]),
+     "chart 1: constant: expected a pair of rational strings, got [1.5, '0']"),
+    (_set_numerator_field("coefficient", [3, "0"]),
+     "chart 2: numerator term 0 coefficient: expected a pair of rational "
+     "strings, got [3, '0']"),
+    (_set_numerator_field("monomial", ["0", 0, 0, 3]),
+     "chart 2: numerator term 0 monomial: expected an integer 0-3, got '0'"),
+])
+def test_chart_file_json_types_are_exact(tmp_path, capsys, mutate, message):
+    path = _mutated_charts(tmp_path, mutate)
+    assert run(capsys, "obstruct", "-c", "5,9,10,12", "--charts", path) \
+        == (1, "", f"bm: error: {message}\n")
