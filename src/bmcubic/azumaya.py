@@ -324,7 +324,6 @@ class _LocalModel:
         self.strata = range(min(int(d.min()) for d in self.dval),
                             (precision + 1) // 2)
         self._strata: dict = {}
-        self._keys = None
 
     def power(self, ids, e: int):
         if e == 1:
@@ -368,17 +367,6 @@ class _LocalModel:
                             pool[np.argsort(values, kind="stable")])
             got = self._strata[w] = (tuple(pools), roots)
         return got
-
-    def class_keys(self) -> np.ndarray:
-        """keys[w, a]: the partition key of a class with free value a and
-        certificate w, the id of a reduced mod pi^(N - w), which is its
-        ball's representative (a itself when 2w >= N), so that a slice of
-        classes is exactly the lifts of the same slice of balls."""
-        if self._keys is None:
-            n = self.precision
-            self._keys = np.stack([self.reduced(n - w) if 2 * w < n
-                                   else self.ids for w in range(n + 1)])
-        return self._keys
 
 
 @lru_cache(maxsize=32)
@@ -448,10 +436,8 @@ def _batches(model: _LocalModel,
     w the three coordinates run over representatives mod pi^(N - w) of
     partial valuation at least w (`_LocalModel.stratum`), and a tuple is
     kept only when its least partial valuation is exactly w: it stands for
-    the q^(3w) classes of its ball, all certified with w.  A partition
-    (k, n) keeps the classes whose key (`_LocalModel.class_keys`) is k mod
-    n; for a ball that key is the id of its free value a, so a slice of
-    balls is exactly the lifts of the same slice of classes.
+    the q^(3w) classes of its ball, all certified with w.  A slice (k, n)
+    keeps the balls whose free value's id is k mod n.
 
     `parents` keeps only the balls of the stratum whose reduction mod
     pi^radius is one of its keys: it filters a, then b before the root
@@ -461,9 +447,6 @@ def _batches(model: _LocalModel,
     """
     ring = model.ring
     pools, roots = model.stratum(stratum)
-    keys = None
-    if partition is not None and stratum is None:
-        keys = model.class_keys() % partition[1] == partition[0]
     red = None if parents is None else model.reduced(parents.radius)
     for i0 in range(4):
         dv_one = int(model.dval[i0][model.one])
@@ -478,9 +461,7 @@ def _batches(model: _LocalModel,
         fa, fb = (j for j in range(4) if j not in (i0, sj))
         a_pool = pools[fa][int(fa < i0)]
         b_pool = pools[fb][int(fb < i0)]
-        if keys is not None:
-            a_pool = a_pool[keys[:, a_pool].any(axis=0)]
-        elif partition is not None:
+        if partition is not None:
             a_pool = a_pool[a_pool % partition[1] == partition[0]]
         if by_a is not None:
             a_pool = a_pool[np.isin(red[a_pool], list(by_a))]
@@ -537,9 +518,8 @@ def _batches(model: _LocalModel,
                 dv[fa] = model.dval[fa][a]
                 dv[fb] = dvb[pmap]
                 dv[sj] = model.dval[sj][sols]
-                if keys is not None or not keep_all:
-                    w = dv.min(axis=0)
-                    keep = w == stratum if keys is None else keys[w, a]
+                if not keep_all:
+                    keep = dv.min(axis=0) == stratum
                     pmap, sols, dv = pmap[keep], sols[keep], dv[:, keep]
                 if not len(pmap):
                     continue
@@ -547,9 +527,7 @@ def _batches(model: _LocalModel,
 
 
 def enumerate_local_points(coeffs: Sequence[int], place: Place,
-                           precision: int,
-                           _partition: Optional[tuple[int, int]] = None
-                           ) -> Iterator[LocalPointClass]:
+                           precision: int) -> Iterator[LocalPointClass]:
     """Certified liftable point classes mod pi^precision, in a fixed order:
     the certified classes of `_batches`, one at a time.
 
@@ -563,7 +541,7 @@ def enumerate_local_points(coeffs: Sequence[int], place: Place,
         raise ValueError("precision must be >= 1")
     model = _local_model(cs, place, precision)
     ring = model.ring
-    for bt in _batches(model, _partition):
+    for bt in _batches(model):
         _, fa, fb, sj = bt.roles
         w = bt.w
         ok = 2 * w < precision
@@ -709,14 +687,13 @@ class PlaceReport:
 
 
 def _attained_reference(coeffs: Coeffs, cls: AzumayaClass, place: Place,
-                        precision: int,
-                        partition: Optional[tuple[int, int]] = None):
+                        precision: int):
     """Attained set by the scalar evaluator, one certified class of
     `enumerate_local_points` at a time; the oracle for the array engine."""
     ev = _class_evaluator(cls, place, precision)
     attained = set()
     count = 0
-    for pt in enumerate_local_points(coeffs, place, precision, partition):
+    for pt in enumerate_local_points(coeffs, place, precision):
         count += 1
         try:
             attained.add(ev.js_at(pt.coords, pt.certificate[1]))
@@ -753,9 +730,7 @@ class _VecEngine:
     evaluable chart has numerator and denominator valuation at most
     N - w - m_v, below the radius N - w of the ball, so one evaluation at
     the ball's representative holds for all q^(3w) classes of the ball,
-    and those are what `run` counts.  When theta is a cube at the place no
-    chart is read and every invariant is 0, but the walk and the numerator
-    stage work for every class.
+    and those are what `rung` counts.
 
     A rung N + 2 reuses a complete rung N that walked all its strata
     (`rung`, `_Frontier`).  In a stratum w with 2w + 2 <= N, each ball of
@@ -803,7 +778,6 @@ class _VecEngine:
             if ch.numerator not in self.num_index:
                 self.num_index[ch.numerator] = len(self.num_groups)
                 self.num_groups.append(ch.numerator)
-        self.split = is_local_cube(cls.theta, place)
         self._reading = None
 
     def reading(self) -> tuple:
@@ -902,22 +876,18 @@ class _VecEngine:
         evaluable; the result is then (None, classes so far, False, None).
         In a stratum that `parents` names only the open balls' children
         are evaluated, and none is counted: the caller counts them by the
-        q^4 law.  With `record` the rung returns its `_Frontier` slice,
-        unless theta is a cube at the place and no chart is read.
+        q^4 law.  With `record` the rung returns its `_Frontier` slice.
         """
         n = self.precision
         bits = 0
         count = 0
         frontier = None
-        if record and not self.split:
+        if record:
             frontier = _Frontier(n, {w: 0 for w in self.model.strata
                                      if 2 * w + 2 <= n})
         for w, branch, bt in self.walk(part, nparts, parents):
             if parents is None or w not in parents:
                 count += len(bt.pmap) * self.model.q ** (3 * w)
-            if self.split:
-                bits |= 1
-                continue
             track = frontier is not None and w in frontier.balls
             got = self._eval_batch(branch, bt.a, bt.pmap, bt.sol, track)
             if got is None:
@@ -932,14 +902,6 @@ class _VecEngine:
                         (bt.roles[0], bt.a, bt.b_pool[bt.pmap[open_]],
                          bt.sol[open_]))
         return bits, count, True, frontier
-
-    def run(self, part: int, nparts: int):
-        """(attained invariants, point classes, complete) on one slice,
-        every stratum walked in full."""
-        bits, count, complete, _ = self.rung(part, nparts)
-        if not complete:
-            return None, count, False
-        return tuple(j for j in range(3) if bits >> j & 1), count, True
 
     def numerators(self, branch, a_id, pmap, sols):
         """Yields, per numerator group, the ids of its values on a batch's
@@ -1064,6 +1026,12 @@ class _Frontier:
         def ids(e):
             return ring.pack(old.unpack(e))
 
+        def distinct(ks):
+            # sorted, each entry kept where it differs from the one before;
+            # np.unique would import numpy.ma on its first call
+            k = np.sort(np.concatenate(ks))
+            return k[np.concatenate(([True], k[1:] != k[:-1]))]
+
         out = {}
         for w in self.balls:
             keys: dict = {}
@@ -1071,7 +1039,7 @@ class _Frontier:
                 keys.setdefault(i0, {}).setdefault(int(ids(a)), []).append(
                     ids(bs) * ring.size + ids(ss))
             out[w] = _Parents(self.precision - w, {
-                i0: {a: np.unique(np.concatenate(ks)) for a, ks in by_a.items()}
+                i0: {a: distinct(ks) for a, ks in by_a.items()}
                 for i0, by_a in keys.items()})
         return out
 
@@ -1092,8 +1060,7 @@ def _attained(coeffs: Coeffs, cls: AzumayaClass, place: Place, precision: int,
     # build the engine and its reading tables before forking, so that
     # workers inherit them
     eng = _vec_engine(coeffs, cls, place, precision)
-    if not eng.split:
-        eng.reading()
+    eng.reading()
     parents = None if below is None else below.parents(eng.ring)
     nparts = max(jobs, 1)
     payloads = [(coeffs, cls, place, precision, k, nparts, parents, record)
@@ -1212,7 +1179,7 @@ def place_report(coeffs: Sequence[int], cls: AzumayaClass, place: Place,
     if place not in set(bad_places(cs, cls)):
         return PlaceReport(place, True, frozenset({InvariantValue(0)}), 0, 0)
     if is_local_cube(cls.theta, place):
-        solvable = local_solvability(cs, place, cap=cap)
+        solvable = local_solvability(cs, place, precision, cap)
         att = frozenset({InvariantValue(0)}) if solvable else frozenset()
         return PlaceReport(place, solvable, att, 0, 0)
     # (rung, attained, classes) of the last rung walked, if it was complete

@@ -116,9 +116,6 @@ class EisensteinNumber:
         """Norm to Q: x^2 - x*y + y^2."""
         return Fraction(self.x * self.x - self.x * self.y + self.y * self.y)
 
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.x - self.y)
-
     def inverse(self) -> "EisensteinNumber":
         x, y = self.x, self.y
         n = x * x - x * y + y * y

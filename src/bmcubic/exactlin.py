@@ -231,15 +231,6 @@ class AbelianGroupStructure:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def order(self) -> Optional[int]:
-        """Group order, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -273,12 +264,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.invariants)
-
-    def quotient_structure(self) -> AbelianGroupStructure:
-        """Structure of Z^rows / (column lattice of M)."""
-        free = self.d.rows - self.rank
-        torsion = tuple(d for d in self.invariants if d > 1)
-        return AbelianGroupStructure(free, torsion)
 
 
 def _min_abs_pivot(a: list[list[int]], k: int, nr: int, nc: int) -> Optional[tuple[int, int]]:

@@ -126,11 +126,6 @@ class LineConfiguration:
     gram: IntMatrix
     relations: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, label: LineLabel) -> tuple[LineLabel, ...]:
-        i = LABEL_INDEX[label]
-        return tuple(self.labels[j] for j in range(27)
-                     if self.incidence.at(i, j))
-
 
 @lru_cache(maxsize=1)
 def line_configuration() -> LineConfiguration:

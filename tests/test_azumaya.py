@@ -3,11 +3,13 @@
 The point enumerator is checked against a brute-force search over all
 normalized tuples that uses no precomputed table.  The array engine that
 powers the attained-set computation is checked against the scalar
-reference evaluator on full small cases and on partition slices of the
-large ones, and certified point classes are re-verified with exact
-arithmetic.
+reference evaluator on full small cases and, ball by ball, on a fixed
+stride of the balls of the large ones, and certified point classes are
+re-verified with exact arithmetic.
 """
 
+import os
+import subprocess
 import sys
 from itertools import islice, permutations, product
 from pathlib import Path
@@ -27,6 +29,7 @@ from bmcubic.azumaya import (
     AzumayaChart,
     AzumayaClass,
     ChartDisagreement,
+    LocalPointClass,
     NoEvaluableChart,
     NoStabilization,
     Verdict,
@@ -86,6 +89,48 @@ def surface_value(coeffs, coords):
     for c, x in zip(coeffs, coords):
         acc = acc + EisensteinNumber(c) * x ** 3
     return acc
+
+
+def _full_walk(coeffs, cls, place, n, part=0, nparts=1):
+    """(attained invariants, point classes, complete) of the engine's rung
+    at precision n with every stratum walked in full, on slice `part` of
+    `nparts` of the ball walk."""
+    bits, count, complete, _ = _vec_engine(coeffs, cls, place, n).rung(
+        part, nparts)
+    if not complete:
+        return None, count, False
+    return tuple(j for j in range(3) if bits >> j & 1), count, True
+
+
+def _sampled_balls(eng, stride):
+    """(w, branch, batch, ks) over the engine's walk of every stratum, ks
+    the indices in the batch of every `stride`-th ball of the walk."""
+    seen = 0
+    for w, branch, bt in eng.walk(0, 1):
+        ks = np.arange(-seen % stride, len(bt.pmap), stride)
+        seen += len(bt.pmap)
+        if len(ks):
+            yield w, branch, bt, ks
+
+
+def _representative(eng, bt, k, w):
+    """Ball k of a batch as the point class of its representative, itself
+    a certified class mod pi^N with the ball's certificate."""
+    _, fa, fb, sj = bt.roles
+    ring = eng.ring
+    coords = [ring.one] * 4
+    coords[fa] = ring.unpack(bt.a)
+    coords[fb] = ring.unpack(int(bt.b_pool[bt.pmap[k]]))
+    coords[sj] = ring.unpack(int(bt.sol[k]))
+    return LocalPointClass(eng.place, eng.precision, tuple(coords),
+                           (int(bt.dval[:, k].argmin()), w))
+
+
+def _sampled_points(eng, stride):
+    """The representatives of every `stride`-th ball of the engine's walk."""
+    for w, _, bt, ks in _sampled_balls(eng, stride):
+        for k in ks.tolist():
+            yield _representative(eng, bt, k, w)
 
 
 # ------------------------------------------------------------------ chart data
@@ -156,14 +201,6 @@ def test_enumerate_is_deterministic():
     assert len(a) == 12288
 
 
-def test_enumerate_partition_union():
-    whole = set(p.coords for p in enumerate_local_points(CG, V2, 3))
-    parts = [set(p.coords for p in enumerate_local_points(CG, V2, 3, (k, 3)))
-             for k in range(3)]
-    assert set().union(*parts) == whole
-    assert sum(len(p) for p in parts) == len(whole)
-
-
 def test_first_unit_normalization():
     ring = residue_ring(V2, 3)
     for p in islice(enumerate_local_points(CG, V2, 3), 0, None, 37):
@@ -186,9 +223,8 @@ def test_certificates_hold_in_exact_arithmetic():
 
 
 def test_ramified_certificates_hold_in_exact_arithmetic():
-    sample = islice(enumerate_local_points(CG, V3, 7, (0, 729)), 0, None, 211)
     seen = 0
-    for p in sample:
+    for p in _sampled_points(_vec_engine(CG, CLS, V3, 7), 211):
         coords = p.coordinates_exact()
         f = surface_value(CG, coords)
         assert f.is_zero or valuation(f, V3) >= 7
@@ -243,10 +279,10 @@ def test_enumeration_matches_brute_force(coeffs, place, n):
 
 def test_batch_bound_changes_neither_stream_nor_attained_set(monkeypatch):
     stream = list(enumerate_local_points(CG, V2, 3))
-    attained = _vec_engine(CG, CLS, V2, 3).run(0, 1)
+    attained = _full_walk(CG, CLS, V2, 3)
     monkeypatch.setattr(azumaya_module, "_BATCH_CLASSES", 5)
     assert list(enumerate_local_points(CG, V2, 3)) == stream
-    assert _vec_engine(CG, CLS, V2, 3).run(0, 1) == attained
+    assert _full_walk(CG, CLS, V2, 3) == attained
 
 
 # ------------------------------------------------------------------- invariants
@@ -257,41 +293,50 @@ def test_invariants_vanish_at_the_inert_place():
 
 
 def test_engine_matches_reference_small_inert():
-    assert (_vec_engine(CG, CLS, V2, 3).run(0, 1)
+    assert (_full_walk(CG, CLS, V2, 3)
             == _attained_reference(CG, CLS, V2, 3) == ((0,), 12288, True))
 
 
-def test_engine_matches_reference_inert_slice_at_pi5():
+def _ball_by_ball(place, n, stride):
+    """The engine's invariant bit on every `stride`-th ball of the
+    flagship's walk at pi^n against the scalar evaluator at the ball's
+    representative: (balls checked, union of their bits)."""
+    eng = _vec_engine(CG, CLS, place, n)
+    checked, union = 0, 0
+    for w, branch, bt, ks in _sampled_balls(eng, stride):
+        bits, _ = eng._eval_batch(branch, bt.a, bt.pmap[ks], bt.sol[ks])
+        for k, bit in zip(ks.tolist(), bits.tolist()):
+            pt = _representative(eng, bt, k, w)
+            assert bit == 1 << invariant_at_point(CLS, pt).j
+            union |= bit
+        checked += len(ks)
+    return checked, union
+
+
+def test_engine_matches_reference_ball_by_ball_inert_at_pi5():
     # the rung the flagship walks over 2, where the engine's raw ring
-    # arithmetic and reading tables carry every class; slice 0 is empty
-    assert (_vec_engine(CG, CLS, V2, 5).run(1, 1024)
-            == _attained_reference(CG, CLS, V2, 5, (1, 1024))
-            == ((0,), 12288, True))
+    # arithmetic and reading tables carry every ball
+    checked, union = _ball_by_ball(V2, 5, 997)
+    assert checked >= 3000 and union == 1
 
 
-def test_engine_matches_reference_ramified_slice():
-    # a slice keys a class by its free value reduced mod pi^(N - w), its
-    # ball's representative, so the engine's slice of balls holds exactly
-    # the lifts of the reference's slice of classes
-    ref = _attained_reference(CG, CLS, V3, 7, (0, 729))
-    eng = _vec_engine(CG, CLS, V3, 7).run(0, 729)
-    assert ref == eng
-    assert ref[0] == (2,)
-    assert ref[2] is True
-    assert ref[1] >= 59049
+def test_engine_matches_reference_ball_by_ball_ramified_at_pi7():
+    # the first complete rung over 3: every ball has certificate w = 2
+    checked, union = _ball_by_ball(V3, 7, 53)
+    assert checked >= 1000 and union == 1 << 2
 
 
 def test_engine_matches_reference_incomplete_at_default_ramified_precision():
     # at pi^5 the evaluability threshold is negative: nothing readable
     ref = _attained_reference(CG, CLS, V3, 5)
-    eng = _vec_engine(CG, CLS, V3, 5).run(0, 1)
+    eng = _full_walk(CG, CLS, V3, 5)
     assert ref[0] is None and eng[0] is None
     assert ref[2] is False and eng[2] is False
 
 
 def test_engine_partition_union_matches_whole():
-    whole = _vec_engine(CG, CLS, V2, 3).run(0, 1)
-    parts = [_vec_engine(CG, CLS, V2, 3).run(k, 5) for k in range(5)]
+    whole = _full_walk(CG, CLS, V2, 3)
+    parts = [_full_walk(CG, CLS, V2, 3, k, 5) for k in range(5)]
     merged = tuple(sorted(set().union(*(set(p[0]) for p in parts))))
     assert merged == whole[0]
     assert sum(p[1] for p in parts) == whole[1]
@@ -300,9 +345,9 @@ def test_engine_partition_union_matches_whole():
 
 def test_engine_partition_union_matches_whole_over_3():
     # the partition --jobs uses, on balls of certificate w = 2
-    whole = _vec_engine(CG, CLS, V3, 7).run(0, 1)
+    whole = _full_walk(CG, CLS, V3, 7)
     assert whole == ((2,), 3 ** 16, True)
-    parts = [_vec_engine(CG, CLS, V3, 7).run(k, 4) for k in range(4)]
+    parts = [_full_walk(CG, CLS, V3, 7, k, 4) for k in range(4)]
     merged = tuple(sorted(set().union(*(set(p[0]) for p in parts))))
     assert merged == whole[0]
     assert sum(p[1] for p in parts) == whole[1]
@@ -337,13 +382,10 @@ def test_balls_per_stratum_match_the_class_walk(coeffs, place, n, by_w, balls):
     assert got_classes == by_w
     if balls is not None:
         assert got_balls == balls
-    # the engine counts the same classes: a class with theta = 1 splits
-    # everywhere, so its run only counts balls times their lifts
-    one = EisensteinNumber(1)
-    split = AzumayaClass(one, (AzumayaChart(one, CLS.charts[0].numerator, 0,
-                                            one),))
-    assert _vec_engine(coeffs, split, place, n).run(0, 1) \
-        == ((0,), sum(by_w.values()), True)
+    # the engine counts the same classes: the constant class is readable
+    # on every ball, through its leading coordinate
+    assert _full_walk(coeffs, _constant_class(), place, n)[1:] \
+        == (sum(by_w.values()), True)
 
 
 def _balls(coeffs, place, n, w):
@@ -427,7 +469,7 @@ def test_ladder_rungs_match_the_full_walk(monkeypatch, coeffs, cls, place, kw,
     rungs = _ladder_rungs(monkeypatch, coeffs, cls, place, **kw)
     assert [(r[0], r[3]) for r in rungs] == ladder
     for n, att, count, complete in rungs:
-        full = _vec_engine(coeffs, cls, place, n).run(0, 1)
+        full = _full_walk(coeffs, cls, place, n)
         assert complete == full[2]
         if complete:
             assert (tuple(sorted(att)), count) == full[:2]
@@ -448,7 +490,7 @@ def test_disagreement_among_open_children_is_found():
     assert (att, count, complete) == (frozenset({0}), 12288, True)
     assert sum(len(row[2]) for row in frontier.open[0]) == 11712
     with pytest.raises(ChartDisagreement) as full:
-        _vec_engine(CG, cls, V2, 5).run(0, 1)
+        _full_walk(CG, cls, V2, 5)
     with pytest.raises(ChartDisagreement) as ladder:
         place_report(CG, cls, V2)
     assert str(ladder.value) == str(full.value) == (
@@ -500,11 +542,38 @@ def test_rungs_evaluate_only_the_children_of_open_balls(monkeypatch):
     assert sum(len(row[2]) for row in frontiers[0][1].open[0]) == 3072
 
 
+def test_inexact_valuations_keep_balls_open():
+    # every point of x^3 + 4y^3 + 4z^3 + 4t^3 over 2 has x even and
+    # certificate w = 2.  A chart group with the surface form itself as
+    # numerator reads valuation N = 6 on every ball.  The engine knows a
+    # value on a ball only mod pi^(N - w), so it takes a valuation as
+    # exact only below N - w = 4 and cannot rule the group out at rung 8
+    # (limit 8 - 1 - 2 = 5): no ball is settled.  The groups x_d^3 / x_d^3
+    # keep every ball readable
+    coeffs = (1, 4, 4, 4)
+    one = EisensteinNumber(1)
+    cubes = [tuple(3 * (i == d) for i in range(4)) for d in range(4)]
+    form = tuple((m, EisensteinNumber(c)) for m, c in zip(cubes, coeffs))
+    cls = AzumayaClass(THETA_CG, tuple(
+        AzumayaChart(THETA_CG, num, d, one)
+        for d in range(4) for num in (form, ((cubes[d], one),))))
+    eng = _vec_engine(coeffs, cls, V2, 6)
+    assert list(eng.model.strata) == [0, 1, 2]
+    # a batch with x of valuation 1: most of its balls have no coordinate
+    # deep enough to leave an x_d^3 group open on its own
+    bt = next(bt for bt in _batches(eng.model, (0, 1), 2)
+              if eng.model.val[bt.a] == 1)
+    branch = eng._branch(2, bt.roles, bt.b_pool)
+    bits, open_ = eng._eval_batch(branch, bt.a, bt.pmap, bt.sol, True)
+    assert (bits == 1).all()
+    assert open_.all()
+
+
 def test_mismatched_surface_charts_abort():
     with pytest.raises(ChartDisagreement):
         _attained_reference((1, 1, 2, 14), CLS, V7, 2)
     with pytest.raises(ChartDisagreement):
-        _vec_engine((1, 1, 2, 14), CLS, V7, 2).run(0, 1)
+        _full_walk((1, 1, 2, 14), CLS, V7, 2)
 
 
 def test_single_denominator_class_can_lack_evaluable_charts():
@@ -526,7 +595,7 @@ def test_engine_matches_reference_through_one_denominator(d):
     # batch and the reference at a class, so only complete runs count alike
     cls = AzumayaClass(
         THETA_CG, tuple(c for c in CLS.charts if c.denominator == d))
-    att, count, complete = _vec_engine(CG, cls, V2, 3).run(0, 1)
+    att, count, complete = _full_walk(CG, cls, V2, 3)
     ref = _attained_reference(CG, cls, V2, 3)
     assert (att, complete) == (ref[0], ref[2])
     assert count == ref[1] if complete else count >= ref[1] > 0
@@ -553,31 +622,29 @@ def test_one_chart_class_with_theta_seven_at_split_places():
     # value has valuation 1: with v(theta) = 1 the invariant depends on the
     # unit of the value / pi, which both evaluators read through unit_part.
     # One chart cannot disagree with itself, so no real Brauer class is
-    # needed.  Each slice holds one value of a leading free coordinate.
+    # needed.
     seven = EisensteinNumber(7)
     chart = AzumayaChart(seven, (((2, 1, 0, 0), seven),), 0, EisensteinNumber(1))
     cls = AzumayaClass(seven, (chart,))
     coeffs = (1, 1, 2, 7)
     for place in places_over(7):
-        engine = _vec_engine(coeffs, cls, place, 2)
-        for k in range(7):
-            expected = set()
-            count = 0
-            for pt in enumerate_local_points(coeffs, place, 2, (k, 7)):
-                x = pt.coordinates_exact()
-                value = chart.constant * evaluate_terms(dict(chart.numerator), x) \
-                    / x[chart.denominator] ** 3
-                inv = cyclic_invariant(value, seven, place)
-                assert invariant_at_point(cls, pt) == inv
-                expected.add(inv.j)
-                count += 1
-            assert engine.run(k, 7) == (tuple(sorted(expected)), count, True)
+        expected = set()
+        count = 0
+        for pt in enumerate_local_points(coeffs, place, 2):
+            x = pt.coordinates_exact()
+            value = chart.constant * evaluate_terms(dict(chart.numerator), x) \
+                / x[chart.denominator] ** 3
+            inv = cyclic_invariant(value, seven, place)
+            assert invariant_at_point(cls, pt) == inv
+            expected.add(inv.j)
+            count += 1
+        assert _full_walk(coeffs, cls, place, 2) \
+            == (tuple(sorted(expected)), count, True)
 
 
 def test_scaling_by_a_cube_preserves_the_class():
     scaled = scale_class(CLS, EisensteinNumber(8))
-    assert _vec_engine(CG, scaled, V2, 3).run(0, 1) \
-        == _vec_engine(CG, CLS, V2, 3).run(0, 1)
+    assert _full_walk(CG, scaled, V2, 3) == _full_walk(CG, CLS, V2, 3)
     for p in islice(enumerate_local_points(CG, V2, 3), 0, None, 113):
         assert invariant_at_point(scaled, p) == invariant_at_point(CLS, p)
 
@@ -600,7 +667,7 @@ def test_first_chart_lands_in_the_six_residues_over_sqrt_minus_3():
              EisensteinNumber(3, 7)]
     candidates = [zeta * n for n in norms]
     seen = set()
-    for p in islice(enumerate_local_points(CG, V3, 7, (1, 100)), 0, None, 311):
+    for p in _sampled_points(_vec_engine(CG, CLS, V3, 7), 311):
         coords = p.coordinates_exact()
         assert coords[0] == EisensteinNumber(1)
         g1 = evaluate_terms(F_TERMS, coords)
@@ -661,6 +728,42 @@ def test_place_report_split_theta_shortcut():
     assert rep.solvable and rep.stable
     assert rep.attained == frozenset({InvariantValue(0)})
     assert rep.precision == 0 and rep.point_classes == 0
+
+
+def test_place_report_passes_precision_on_at_a_local_cube(monkeypatch):
+    # theta = 8 is a cube at every place, so the place over 3 needs only
+    # solvability, on the ladder the caller asked for
+    eight = EisensteinNumber(8)
+    cls = AzumayaClass(eight, tuple(
+        AzumayaChart(eight, ch.numerator, ch.denominator, ch.constant)
+        for ch in CLS.charts))
+    calls = []
+
+    def spy(coeffs, place, precision=None, cap=None):
+        calls.append((place, precision, cap))
+        return local_solvability(coeffs, place, precision, cap)
+
+    monkeypatch.setattr(azumaya_module, "local_solvability", spy)
+    rep = place_report((1, 1, 1, 2), cls, V3, precision=7, cap=9)
+    assert calls == [(V3, 7, 9)]
+    assert rep.solvable and rep.attained == frozenset({InvariantValue(0)})
+
+
+def test_place_report_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; the ladder over 2
+    # hands a frontier on, whose keys are made distinct without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "from bmcubic.azumaya import cassels_guy_class, place_report, "
+            "places_over\n"
+            "place_report((5, 9, 10, 12), cassels_guy_class(), "
+            "places_over(2)[0])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_place_report_good_reduction():
